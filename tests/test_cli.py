@@ -1,14 +1,50 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from meandre.cli import main
+
+CLI_GOLDEN_DIR = Path(__file__).parent / "goldens" / "cli"
+
+C_10 = ("--series", "C", "--n", "10", "--top", "3,3", "--bottom", "4,5")
+A_9 = ("--series", "A", "--top", "5,2,2", "--bottom", "2,4,3")
+B_7 = ("--series", "B", "--n", "7", "--top", "2,3", "--bottom", "")
+# Its chains have swapped steps and a split-equal step (+1 before the terminal).
+C_9 = ("--series", "C", "--n", "9", "--top", "2,5", "--bottom", "4,1,3")
+
+# Byte-exact stdout of each command.
+CLI_GOLDENS = {
+    "index_a.txt": ("index", *A_9),
+    "index_a_sl.txt": ("index", *A_9, "--sl"),
+    "index_a.json": ("index", *A_9, "--json"),
+    "index_c.txt": ("index", *C_10),
+    "index_c.json": ("index", *C_10, "--json"),
+    "index_b.txt": ("index", *B_7),
+    "reduce_c.txt": ("reduce", *C_9),
+    "reduce_c.json": ("reduce", *C_9, "--json"),
+    "reduce_c_closed.txt": ("reduce", *C_9, "--closed-form"),
+    "reduce_c_closed.json": ("reduce", *C_9, "--closed-form", "--json"),
+    "reduce_b_closed.json": ("reduce", *B_7, "--closed-form", "--json"),
+    "graph_c.txt": ("graph", *C_10),
+    "graph_b.json": ("graph", *B_7, "--format", "json"),
+    "census_5.txt": ("census", "--n", "5"),
+    "census_5.json": ("census", "--n", "5", "--json"),
+    "census_5_ordered.txt": ("census", "--n", "5", "--ordered"),
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_stdout_matches_golden(capsys, name):
+    code, out, _ = run(capsys, *CLI_GOLDENS[name])
+    assert code == 0
+    assert out == (CLI_GOLDEN_DIR / name).read_bytes().decode("utf-8")
 
 
 def test_index_series_c(capsys):
