@@ -13,8 +13,8 @@ Usage:
 import argparse
 import time
 
-from meandre.cli import _census_table
-from meandre.enumeration import frobenius_census
+from meandre import frobenius_census
+from meandre.io_render import census_table
 
 
 def main() -> None:
@@ -24,7 +24,7 @@ def main() -> None:
 
     started = time.time()
     rows = [frobenius_census(n) for n in range(1, args.max_n + 1)]
-    print(_census_table(rows))
+    print(census_table(rows))
     print(f"\ncomputed in {time.time() - started:.2f}s")
 
     last = rows[-1]

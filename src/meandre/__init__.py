@@ -7,102 +7,26 @@ reduction, exact Kirillov-form rank) and enumerates the index-0 (Frobenius)
 seaweeds together with the structural maps between ranks.
 """
 
-from .composition import (
-    Composition,
-    SeaweedA,
-    SeaweedC,
-    Series,
-    canonical_pair,
-    make_seaweed_a,
-    make_seaweed_c,
-    parse_composition,
-    symmetrize,
-)
-from .enumeration import (
-    CensusRow,
-    compositions_of,
-    embed_up,
-    explicit_fn1_element,
-    frobenius_census,
-    frobenius_seaweeds,
-    hat_map,
-    seaweed_pairs,
-    to_type_a,
-)
-from .index import (
-    ReductionChain,
-    ReductionStep,
-    Rule,
-    closed_form_witness,
-    index_a_gl,
-    index_a_sl,
-    index_c,
-    parabolic_index_c,
-    reduce_step,
-    reduce_step_closed,
-    reduction_chain,
-    strip_central_circles,
-)
-from .io_render import GraphDocument, document, from_json, to_ascii, to_dot, to_json
-from .meander import (
-    Component,
-    ComponentKind,
-    ComponentReport,
-    MeanderGraph,
-    analyze,
-    build_graph_a,
-    build_graph_c,
-)
-from .oracle import MatrixAlgebraBasis, build_seaweed_matrices, index_oracle, integer_rank
+from .composition import Series, make_seaweed_a, make_seaweed_c
+from .enumeration import frobenius_census
+from .index import index_a_gl, index_c, reduction_chain
+from .io_render import document, from_json, to_ascii, to_dot, to_json
+from .oracle import index_oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Composition",
-    "SeaweedA",
-    "SeaweedC",
     "Series",
-    "canonical_pair",
     "make_seaweed_a",
     "make_seaweed_c",
-    "parse_composition",
-    "symmetrize",
-    "MeanderGraph",
-    "Component",
-    "ComponentKind",
-    "ComponentReport",
-    "analyze",
-    "build_graph_a",
-    "build_graph_c",
-    "Rule",
-    "ReductionStep",
-    "ReductionChain",
-    "closed_form_witness",
     "index_a_gl",
-    "index_a_sl",
     "index_c",
-    "parabolic_index_c",
-    "reduce_step",
-    "reduce_step_closed",
     "reduction_chain",
-    "strip_central_circles",
-    "MatrixAlgebraBasis",
-    "build_seaweed_matrices",
     "index_oracle",
-    "integer_rank",
-    "CensusRow",
-    "compositions_of",
-    "embed_up",
-    "explicit_fn1_element",
     "frobenius_census",
-    "frobenius_seaweeds",
-    "hat_map",
-    "seaweed_pairs",
-    "to_type_a",
-    "GraphDocument",
     "document",
     "from_json",
+    "to_json",
     "to_ascii",
     "to_dot",
-    "to_json",
 ]

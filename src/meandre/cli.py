@@ -49,13 +49,8 @@ from .composition import (
     make_seaweed_c,
 )
 from .enumeration import frobenius_census
-from .index import (
-    index_a_from_report,
-    index_c_from_report,
-    parabolic_index_c,
-    reduction_chain,
-)
-from .io_render import document, to_ascii, to_dot, to_json
+from .index import reduction_chain
+from .io_render import census_table, document, payload_head, to_ascii, to_dot, to_json
 from .verify import run_all
 
 DEFAULT_MAX_N = 12
@@ -71,6 +66,22 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def _check_bounds(*flags: tuple[str, int]) -> None:
+    """Reject flag values outside 1..MEANDRE_MAX_N."""
+    max_n = _env_int("MEANDRE_MAX_N", DEFAULT_MAX_N)
+    if max_n < 1:
+        raise ValueError(
+            f"environment variable MEANDRE_MAX_N must be a positive integer, got {max_n}"
+        )
+    for name, value in flags:
+        if not 1 <= value <= max_n:
+            raise ValueError(f"{name} must lie in 1..{max_n} (MEANDRE_MAX_N), got {value}")
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, separators=(",", ":")))
+
+
 def _build_descriptor(args: argparse.Namespace) -> SeaweedA | SeaweedC:
     if args.series == "A":
         q = make_seaweed_a(args.top, args.bottom)
@@ -79,16 +90,13 @@ def _build_descriptor(args: argparse.Namespace) -> SeaweedA | SeaweedC:
         return q
     if args.n is None:
         raise ValueError("series C/B require --n")
-    series = Series.SP if args.series == "C" else Series.SO_ODD
-    return make_seaweed_c(args.n, args.top, args.bottom, series)
+    return make_seaweed_c(args.n, args.top, args.bottom, Series(args.series))
 
 
 def _banner(q: SeaweedA | SeaweedC) -> str:
-    if isinstance(q, SeaweedA):
-        return f"seaweed: type A, top {q.top}, bottom {q.bottom}  [{q.algebra_name}]"
-    label = "C" if q.series is Series.SP else "B"
+    rank = "" if isinstance(q, SeaweedA) else f" n={q.rank},"
     return (
-        f"seaweed: type {label}, n={q.rank}, top {q.top}, bottom {q.bottom}"
+        f"seaweed: type {q.series_label},{rank} top {q.top}, bottom {q.bottom}"
         f"  [{q.algebra_name}]"
     )
 
@@ -98,53 +106,39 @@ def cmd_index(args: argparse.Namespace) -> int:
     doc = document(q)
     report = doc.report
     if isinstance(q, SeaweedA):
-        gl = index_a_from_report(report)
-        payload = {
-            "type": "A",
-            "n": q.size,
-            "top": q.top.to_text(),
-            "bottom": q.bottom.to_text(),
-            "index_gl": gl,
-            "index_sl": gl - 1,
+        fields = {
+            "index_gl": doc.index,
+            "index_sl": doc.index - 1,
             "cycles": report.cycles,
             "segments": report.segments,
         }
-        if args.json:
-            print(json.dumps(payload, separators=(",", ":")))
-            return 0
-        print(_banner(q))
-        if args.sl:
-            print(f"index (sl): {gl - 1}")
-        else:
-            print(f"index (gl): {gl}")
-            print(f"index (sl): {gl - 1}")
-        print(f"cycles: {report.cycles}")
-        print(f"segments: {report.segments}")
-        return 0
-    if args.sl:
+        lines = [] if args.sl else [f"index (gl): {doc.index}"]
+        lines += [
+            f"index (sl): {doc.index - 1}",
+            f"cycles: {report.cycles}",
+            f"segments: {report.segments}",
+        ]
+    elif args.sl:
         raise ValueError("--sl applies to series A only")
-    idx = index_c_from_report(report)
-    payload = {
-        "type": doc.series_label,
-        "n": q.rank,
-        "top": q.top.to_text(),
-        "bottom": q.bottom.to_text(),
-        "index": idx,
-        "cycles": report.cycles,
-        "segments": report.segments,
-        "sigma_stable_segments": report.sigma_stable_segments,
-    }
+    else:
+        fields = {
+            "index": doc.index,
+            "cycles": report.cycles,
+            "segments": report.segments,
+            "sigma_stable_segments": report.sigma_stable_segments,
+        }
+        lines = [
+            f"index: {doc.index}",
+            f"cycles: {report.cycles}",
+            f"segments: {report.segments} "
+            f"(mirror-stable {report.sigma_stable_segments}, "
+            f"other {report.loose_segments})",
+        ]
     if args.json:
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json({**payload_head(q), **fields})
         return 0
     print(_banner(q))
-    print(f"index: {idx}")
-    print(f"cycles: {report.cycles}")
-    print(
-        f"segments: {report.segments} "
-        f"(mirror-stable {report.sigma_stable_segments}, "
-        f"other {report.loose_segments})"
-    )
+    print("\n".join(lines))
     return 0
 
 
@@ -178,30 +172,26 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if isinstance(q, SeaweedA):
         raise ValueError("reduce applies to series C/B descriptors")
     chain = reduction_chain(q, closed_form=args.closed_form)
-    side = chain.terminal.top if chain.terminal.top.parts else chain.terminal.bottom
-    terminal_index = parabolic_index_c(chain.terminal.rank, side)
     if args.json:
-        payload = {
-            "type": "C" if q.series is Series.SP else "B",
-            "n": q.rank,
-            "top": q.top.to_text(),
-            "bottom": q.bottom.to_text(),
-            "steps": [
-                {
-                    "rule": step.rule.value,
-                    "swapped": step.swapped,
-                    "p": step.witness_p,
-                    "before": str(step.before),
-                    "after": str(step.after),
-                    "delta": step.index_delta,
-                }
-                for step in chain.steps
-            ],
-            "terminal": str(chain.terminal),
-            "terminal_index": terminal_index,
-            "index": chain.total_index,
-        }
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json(
+            {
+                **payload_head(q),
+                "steps": [
+                    {
+                        "rule": step.rule.value,
+                        "swapped": step.swapped,
+                        "p": step.witness_p,
+                        "before": str(step.before),
+                        "after": str(step.after),
+                        "delta": step.index_delta,
+                    }
+                    for step in chain.steps
+                ],
+                "terminal": str(chain.terminal),
+                "terminal_index": chain.terminal_index,
+                "index": chain.total_index,
+            }
+        )
         return 0
     print(_banner(q))
     for pos, step in enumerate(chain.steps, start=1):
@@ -211,57 +201,27 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         if step.swapped:
             rule += " (swapped)"
         print(f"  {pos}. {rule:<26} {step.before}  ->  {step.after}  [+{step.index_delta}]")
-    print(f"terminal: {chain.terminal} parabolic, index {terminal_index}")
+    print(f"terminal: {chain.terminal} parabolic, index {chain.terminal_index}")
     print(f"index: {chain.total_index}")
     return 0
 
 
-def _census_table(rows) -> str:
-    nmax = rows[-1].n
-    cell = max(
-        len(str(v)) for row in rows for v in (*row.by_k, row.total, row.n)
-    )
-    cell = max(cell, len(str(nmax)))
-    label_width = max(3, len(str(nmax)))
-    header = "n\\k".ljust(label_width) + "".join(
-        f"{k:>{cell + 2}}" for k in range(1, nmax + 1)
-    )
-    header += " |" + f"{'F_n':>{cell + 2}}"
-    lines = [header]
-    for row in rows:
-        cells = [str(v) for v in row.by_k] + ["-"] * (nmax - row.n)
-        line = str(row.n).ljust(label_width) + "".join(f"{c:>{cell + 2}}" for c in cells)
-        line += " |" + f"{row.total:>{cell + 2}}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def cmd_census(args: argparse.Namespace) -> int:
-    max_n = _env_int("MEANDRE_MAX_N", DEFAULT_MAX_N)
-    if not 1 <= args.n <= max_n:
-        raise ValueError(f"--n must lie in 1..{max_n} (MEANDRE_MAX_N), got {args.n}")
+    _check_bounds(("--n", args.n))
     rows = [frobenius_census(n, ordered=args.ordered) for n in range(1, args.n + 1)]
     if args.json:
-        print(
-            json.dumps(
-                [{"n": r.n, "by_k": list(r.by_k), "total": r.total} for r in rows],
-                separators=(",", ":"),
-            )
-        )
+        _print_json([{"n": r.n, "by_k": list(r.by_k), "total": r.total} for r in rows])
     else:
-        print(_census_table(rows))
+        print(census_table(rows))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_n = _env_int("MEANDRE_MAX_N", DEFAULT_MAX_N)
-    for name, value in (
+    _check_bounds(
         ("--max-n", args.max_n),
         ("--oracle-max-n", args.oracle_max_n),
         ("--census-max-n", args.census_max_n),
-    ):
-        if not 1 <= value <= max_n:
-            raise ValueError(f"{name} must lie in 1..{max_n} (MEANDRE_MAX_N), got {value}")
+    )
     seed = args.seed if args.seed is not None else _env_int("MEANDRE_SEED", 0)
     results = run_all(
         max_n=args.max_n,

@@ -70,11 +70,12 @@ class Series(enum.Enum):
     """Ambient family of a rank-n descriptor: sp(2n) or so(2n+1).
 
     The two families share descriptors, meander graphs and index values;
-    the flag only matters for labelling output.
+    the flag only matters for labelling output.  The value is the type
+    letter that output shows and input parses back (`Series("B")`).
     """
 
-    SP = "sp"
-    SO_ODD = "so-odd"
+    SP = "C"
+    SO_ODD = "B"
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,10 @@ class SeaweedA:
     @property
     def size(self) -> int:
         return self.top.total
+
+    @property
+    def series_label(self) -> str:
+        return "A"
 
     @property
     def algebra_name(self) -> str:
@@ -140,8 +145,8 @@ class SeaweedC:
         return self.rank - self.bottom.total
 
     @property
-    def is_parabolic(self) -> bool:
-        return not self.top.parts or not self.bottom.parts
+    def series_label(self) -> str:
+        return self.series.value
 
     @property
     def algebra_name(self) -> str:

@@ -18,20 +18,6 @@ from typing import Iterator
 from .composition import Composition, SeaweedA, SeaweedC, Series, canonical_pair
 from .index import index_c
 
-__all__ = [
-    "CensusRow",
-    "compositions_of",
-    "composition_from_mask",
-    "seaweed_pairs",
-    "frobenius_seaweeds",
-    "frobenius_census",
-    "explicit_fn1_element",
-    "embed_up",
-    "hat_map",
-    "to_type_a",
-]
-
-
 def composition_from_mask(m: int, mask: int) -> Composition:
     """Composition of m cut at the gaps set in mask (MSB = leftmost gap)."""
     if m == 0:

@@ -28,8 +28,6 @@ class Rule(enum.Enum):
     CASE_SMALL = "case-small"
     CASE_LARGE = "case-large"
     CLOSED_FORM = "closed-form"
-    STRIP_CENTRAL = "strip-central"
-    TERMINAL_PARABOLIC = "terminal-parabolic"
 
 
 def index_a_from_report(report: ComponentReport) -> int:
@@ -90,11 +88,13 @@ class ReductionStep:
 class ReductionChain:
     """A full reduction: rewriting steps down to a parabolic terminal.
 
-    total_index = sum of step deltas + parabolic index of the terminal.
+    terminal_index is the parabolic index of the terminal;
+    total_index = sum of step deltas + terminal_index.
     """
 
     steps: tuple[ReductionStep, ...]
     terminal: SeaweedC
+    terminal_index: int
     total_index: int
 
 
@@ -175,22 +175,6 @@ def reduce_step_closed(q: SeaweedC) -> ReductionStep:
     return ReductionStep(Rule.CLOSED_FORM, q, after, 0, witness_p=p)
 
 
-def strip_central_circles(q: SeaweedC) -> tuple[int, SeaweedC]:
-    """Remove the central circles present when both sides are deficient.
-
-    When sum(top) < n and sum(bottom) < n the graph carries
-    n - max(sum(top), sum(bottom)) concentric central circles; each
-    contributes 1 to the index.  Returns (count, inner seaweed); the count
-    is 0 (and the seaweed unchanged) as soon as one side is full.
-    """
-    if q.top.total < q.rank and q.bottom.total < q.rank:
-        count = q.rank - max(q.top.total, q.bottom.total)
-    else:
-        count = 0
-    inner = SeaweedC(q.rank - count, q.top, q.bottom, q.series)
-    return count, inner
-
-
 def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
     """Reduce until one side is empty, then close with the parabolic formula.
 
@@ -215,5 +199,5 @@ def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain
         total += step.index_delta
         cur = step.after
     side = cur.top if cur.top.parts else cur.bottom
-    total += parabolic_index_c(cur.rank, side)
-    return ReductionChain(tuple(steps), cur, total)
+    terminal_index = parabolic_index_c(cur.rank, side)
+    return ReductionChain(tuple(steps), cur, terminal_index, total + terminal_index)

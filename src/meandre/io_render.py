@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .composition import SeaweedA, SeaweedC, Series, parse_composition
+from .enumeration import CensusRow
 from .index import index_a_from_report, index_c_from_report
 from .meander import (
     Arc,
@@ -37,19 +38,6 @@ class GraphDocument:
     report: ComponentReport
     index: int
 
-    @property
-    def series_label(self) -> str:
-        if isinstance(self.descriptor, SeaweedA):
-            return "A"
-        return "C" if self.descriptor.series is Series.SP else "B"
-
-    @property
-    def size_label(self) -> int:
-        """The n of the JSON form: size for type A, rank for type C/B."""
-        if isinstance(self.descriptor, SeaweedA):
-            return self.descriptor.size
-        return self.descriptor.rank
-
 
 def document(q: Descriptor) -> GraphDocument:
     """Build the full document for a descriptor."""
@@ -64,13 +52,22 @@ def document(q: Descriptor) -> GraphDocument:
     return GraphDocument(q, graph, report, idx)
 
 
-def _payload(doc: GraphDocument) -> dict:
-    q = doc.descriptor
+def payload_head(q: Descriptor) -> dict:
+    """The keys every JSON payload starts with: {type, n, top, bottom}.
+
+    n is the size for type A and the rank for type C/B.
+    """
     return {
-        "type": doc.series_label,
-        "n": doc.size_label,
+        "type": q.series_label,
+        "n": q.size if isinstance(q, SeaweedA) else q.rank,
         "top": q.top.to_text(),
         "bottom": q.bottom.to_text(),
+    }
+
+
+def _payload(doc: GraphDocument) -> dict:
+    return {
+        **payload_head(doc.descriptor),
         "vertices": doc.graph.vertex_count,
         "top_arcs": [list(a) for a in doc.graph.top_arcs],
         "bottom_arcs": [list(a) for a in doc.graph.bottom_arcs],
@@ -102,11 +99,12 @@ def from_json(text: str) -> GraphDocument:
         bottom = parse_composition(data["bottom"])
         if kind == "A":
             descriptor: Descriptor = SeaweedA(top, bottom)
-        elif kind in ("C", "B"):
-            series = Series.SP if kind == "C" else Series.SO_ODD
-            descriptor = SeaweedC(int(data["n"]), top, bottom, series)
         else:
-            raise ValueError(f"unknown document type {kind!r}")
+            try:
+                series = Series(kind)
+            except ValueError:
+                raise ValueError(f"unknown document type {kind!r}") from None
+            descriptor = SeaweedC(int(data["n"]), top, bottom, series)
     except KeyError as missing:
         raise ValueError(f"document is missing the {missing} field") from None
     except (TypeError, AttributeError) as bad:
@@ -117,6 +115,28 @@ def from_json(text: str) -> GraphDocument:
             "document content does not match its descriptor (tampered or stale file)"
         )
     return doc
+
+
+def census_table(rows: list[CensusRow]) -> str:
+    """The census as a text table: one line per rank with the class counts
+    by central-arc number k ('-' where k > n), then the row total F_n."""
+    nmax = rows[-1].n
+    cell = max(
+        len(str(v)) for row in rows for v in (*row.by_k, row.total, row.n)
+    )
+    cell = max(cell, len(str(nmax)))
+    label_width = max(3, len(str(nmax)))
+    header = "n\\k".ljust(label_width) + "".join(
+        f"{k:>{cell + 2}}" for k in range(1, nmax + 1)
+    )
+    header += " |" + f"{'F_n':>{cell + 2}}"
+    lines = [header]
+    for row in rows:
+        cells = [str(v) for v in row.by_k] + ["-"] * (nmax - row.n)
+        line = str(row.n).ljust(label_width) + "".join(f"{c:>{cell + 2}}" for c in cells)
+        line += " |" + f"{row.total:>{cell + 2}}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 # --- ASCII rendering -------------------------------------------------------
@@ -213,7 +233,7 @@ def to_dot(doc: GraphDocument) -> str:
 
     lines = [
         "graph meander {",
-        f"  // type {doc.series_label} seaweed {doc.descriptor}; index {doc.index}",
+        f"  // type {doc.descriptor.series_label} seaweed {doc.descriptor}; index {doc.index}",
         "  // edge colours: red = segment not fixed by the mirror reflection,",
         "  //               blue = cycle, black = mirror-stable segment",
         "  layout=neato;",

@@ -50,7 +50,6 @@ class MatrixAlgebraBasis:
     [x_u, x_v] = sum c * x_w; pairs with vanishing bracket are absent.
     """
 
-    ambient: str
     matrix_size: int
     elements: tuple[Matrix, ...]
     structure: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]
@@ -130,7 +129,7 @@ def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> Mat
                 structure[(u, v)] = coeffs
 
     dense = tuple(_dense(size, entries) for entries in sparse_elements)
-    return MatrixAlgebraBasis("sp", size, dense, structure)
+    return MatrixAlgebraBasis(size, dense, structure)
 
 
 def _check_sp_membership(entries: Sequence[Entry], size: int, eps: Sequence[int]) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .composition import SeaweedC, canonical_pair, symmetrize
+from .composition import SeaweedA, SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
     compositions_of,
     frobenius_census,
@@ -30,9 +30,14 @@ from .enumeration import (
     seaweed_pairs,
     to_type_a,
 )
-from .index import index_a_from_report, index_c_from_report, reduction_chain
+from .index import (
+    index_a_from_report,
+    index_a_gl,
+    index_c,
+    index_c_from_report,
+    reduction_chain,
+)
 from .meander import ComponentReport, analyze, build_graph_a, build_graph_c
-from .composition import SeaweedA
 from .oracle import index_oracle
 
 
@@ -71,16 +76,13 @@ def check_index_methods(max_n: int = 6, inject_fault: bool = False) -> CheckResu
     for n in range(1, max_n + 1):
         for q in seaweed_pairs(n):
             report = analyze(build_graph_c(q))
+            graph_index = index_c_from_report(report)
             if fault_armed:
                 flipped = _flip_first_stable(report)
                 if flipped is not None:
                     # The flipped count is odd, so round up instead of failing.
                     graph_index = flipped.cycles + (flipped.loose_segments + 1) // 2
                     fault_armed = False
-                else:
-                    graph_index = index_c_from_report(report)
-            else:
-                graph_index = index_c_from_report(report)
             stepwise = reduction_chain(q).total_index
             closed = reduction_chain(q, closed_form=True).total_index
             if not graph_index == stepwise == closed:
@@ -114,7 +116,7 @@ def check_kirillov_oracle(
     pool.extend(rng.sample(extra, min(extra_count, len(extra))))
     rank_bound = max(max_n, extra_rank)
     for q in pool:
-        expected = index_c_from_report(analyze(build_graph_c(q)))
+        expected = index_c(q)
         got = index_oracle(q, samples, seed=rng.randrange(2**30), max_rank=rank_bound)
         if got != expected:
             return _fail(name, f"oracle {got}, graph {expected}", q)
@@ -131,7 +133,7 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
     for n in range(1, census_max_n + 1):
         by_k: dict[int, set[SeaweedC]] = {}
         for q in seaweed_pairs(n):
-            if index_c_from_report(analyze(build_graph_c(q))) != 0:
+            if index_c(q) != 0:
                 continue
             full_sides = (q.top.total == n) + (q.bottom.total == n)
             if full_sides != 1:
@@ -279,9 +281,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
                 continue
             for q in frobenius_seaweeds(n, k):
                 image = to_type_a(q)
-                if image.top.parts[-1] != k or index_a_from_report(
-                    analyze(build_graph_a(image))
-                ) != 1:
+                if image.top.parts[-1] != k or index_a_gl(image) != 1:
                     return _fail(name, "transfer image not a single segment", q)
     return CheckResult(
         name,

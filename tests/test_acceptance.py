@@ -10,12 +10,9 @@ import time
 from pathlib import Path
 
 from meandre import (
-    analyze,
-    build_graph_c,
     document,
     from_json,
     index_a_gl,
-    index_a_sl,
     index_c,
     index_oracle,
     make_seaweed_a,
@@ -32,6 +29,8 @@ from meandre.enumeration import (
     frobenius_census,
     seaweed_pairs,
 )
+from meandre.index import index_a_sl
+from meandre.meander import analyze, build_graph_c
 from meandre.verify import check_structure
 
 import pytest

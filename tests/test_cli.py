@@ -189,6 +189,15 @@ def test_census_env_cap(capsys, monkeypatch):
     assert "MEANDRE_MAX_N" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_env_cap_exits_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("MEANDRE_MAX_N", cap)
+    for argv in (("census", "--n", "1"), ("verify", "--max-n", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"MEANDRE_MAX_N must be a positive integer, got {cap}" in err
+
+
 def test_verify_passes_at_small_bounds(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "3", "--oracle-max-n", "2", "--census-max-n", "4"

@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meandre import (
+from meandre import make_seaweed_a, make_seaweed_c
+from meandre.composition import (
     Composition,
     SeaweedA,
     canonical_pair,
-    make_seaweed_a,
-    make_seaweed_c,
     parse_composition,
     symmetrize,
 )

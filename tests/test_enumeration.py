@@ -1,21 +1,21 @@
 import pytest
 
 from meandre import (
-    analyze,
-    build_graph_a,
-    build_graph_c,
-    canonical_pair,
-    embed_up,
-    explicit_fn1_element,
     frobenius_census,
-    frobenius_seaweeds,
-    hat_map,
     index_a_gl,
     index_c,
     make_seaweed_a,
     make_seaweed_c,
+)
+from meandre.composition import canonical_pair
+from meandre.enumeration import (
+    embed_up,
+    explicit_fn1_element,
+    frobenius_seaweeds,
+    hat_map,
     to_type_a,
 )
+from meandre.meander import analyze, build_graph_a, build_graph_c
 
 TABLE = {
     1: (1,),

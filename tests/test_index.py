@@ -2,26 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meandre import (
+from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
+from meandre.composition import Series, parse_composition
+from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
+from meandre.index import (
     Rule,
-    analyze,
-    build_graph_a,
-    build_graph_c,
     closed_form_witness,
-    index_a_gl,
     index_a_sl,
-    index_c,
-    make_seaweed_a,
-    make_seaweed_c,
     parabolic_index_c,
-    parse_composition,
     reduce_step,
     reduce_step_closed,
-    reduction_chain,
-    strip_central_circles,
 )
-from meandre.composition import Series
-from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
+from meandre.meander import analyze, build_graph_a, build_graph_c
 
 
 def random_seaweeds(max_n):
@@ -182,25 +174,23 @@ def test_closed_form_witness_bounds(a1, spread):
 
 
 def test_strip_central_circles():
-    count, inner = strip_central_circles(make_seaweed_c(3, "1", "1"))
-    assert (count, inner) == (2, make_seaweed_c(1, "1", "1"))
-    assert index_c(make_seaweed_c(3, "1", "1")) == count + index_c(inner) == 3
-
-    count, inner = strip_central_circles(make_seaweed_c(10, "3,3", "4,5"))
-    assert (count, inner.rank) == (1, 9)
-    assert index_c(make_seaweed_c(10, "3,3", "4,5")) == count + index_c(inner)
-
-    count, inner = strip_central_circles(make_seaweed_c(5, "", ""))
-    assert (count, inner) == (5, make_seaweed_c(0, "", ""))
-
-    full = make_seaweed_c(4, "4", "2,1")
-    assert strip_central_circles(full) == (0, full)
+    # Central circles: each adds 1 to the index of the seaweed without them.
+    cases = ((3, "1", "1", 2, 3), (10, "3,3", "4,5", 1, 1), (5, "", "", 5, 5))
+    for n, top, bottom, count, index in cases:
+        inner = make_seaweed_c(n - count, top, bottom)
+        assert index_c(make_seaweed_c(n, top, bottom)) == count + index_c(inner) == index
 
 
 @given(random_seaweeds(6))
 @settings(max_examples=60)
 def test_strip_central_circles_additivity(q):
-    count, inner = strip_central_circles(q)
+    """Both sides deficient: the graph carries n - max(sum(top), sum(bottom))
+    concentric central circles, and removing them lowers the index by that."""
+    if q.top_defect and q.bottom_defect:
+        count = q.rank - max(q.top.total, q.bottom.total)
+    else:
+        count = 0
+    inner = make_seaweed_c(q.rank - count, q.top, q.bottom)
     assert index_c(q) == count + index_c(inner)
 
 

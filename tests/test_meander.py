@@ -1,15 +1,14 @@
 import pytest
 
-from meandre import (
+from meandre import make_seaweed_a, make_seaweed_c
+from meandre.enumeration import seaweed_pairs
+from meandre.meander import (
     ComponentKind,
     MeanderGraph,
     analyze,
     build_graph_a,
     build_graph_c,
-    make_seaweed_a,
-    make_seaweed_c,
 )
-from meandre.enumeration import seaweed_pairs
 
 
 def test_build_graph_a_nine_vertex_example():

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meandre import (
-    build_seaweed_matrices,
-    index_c,
-    index_oracle,
-    integer_rank,
-    make_seaweed_c,
-)
+from meandre import index_c, index_oracle, make_seaweed_c
 from meandre.enumeration import seaweed_pairs
+from meandre.oracle import build_seaweed_matrices, integer_rank
 
 
 def fraction_rank(rows):
