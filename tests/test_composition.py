@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.composition import (
     Composition,
-    SeaweedA,
     canonical_pair,
     parse_composition,
     symmetrize,
