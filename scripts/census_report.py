@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print the Frobenius census with the stable-tail summary.
 
-For each rank n up to --max-n (default 9) the row of class counts by
+For each rank n up to --max-n (default 16) the row of class counts by
 central-arc number k is printed, followed by the values that have stopped
 changing: the count at k = n-m is the same for every n >= 2m+1, so the last
 row's tail predicts all later rows.
 
 Usage:
-  python3 scripts/census_report.py [--max-n 9]
+  python3 scripts/census_report.py [--max-n 16]
 """
 
 import argparse
@@ -19,7 +19,7 @@ from meandre.io_render import census_table
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=9)
+    parser.add_argument("--max-n", type=int, default=16)
     args = parser.parse_args()
 
     started = time.time()

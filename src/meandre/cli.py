@@ -14,7 +14,9 @@ reduce
     --closed-form switches to the collapsed steps.
 
 census
-    The table of Frobenius class counts by rank and central-arc count.
+    The table of Frobenius class counts by rank and central-arc count,
+    counted by a memoized reduction DP: ranks 1-9 in well under a second,
+    ranks 1-20 in about 1.4 s.
 
 verify
     Cross-checks: graph vs reduction indices, the Kirillov-form oracle, and
@@ -29,9 +31,10 @@ Usage examples
   meandre census --n 7
   meandre verify --max-n 5
 
-Environment: MEANDRE_MAX_N caps the census/verification bounds (default 12),
-MEANDRE_SEED seeds the oracle sampling (default 0).  Exit codes: 0 ok,
-1 verification failure, 2 usage or validation error.
+Environment: MEANDRE_MAX_N caps the census rank (default 20) and the
+verification bounds (default 12), MEANDRE_SEED seeds the oracle sampling
+(default 0).  Exit codes: 0 ok, 1 verification failure, 2 usage or
+validation error.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .index import reduction_chain
 from .io_render import census_table, document, payload_head, to_ascii, to_dot, to_json
 from .verify import run_all
 
-DEFAULT_MAX_N = 12
+CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
+BRUTE_FORCE_MAX_N = 12  # verify's 4^n scans
 
 
 def _env_int(name: str, default: int) -> int:
@@ -66,9 +70,9 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-def _check_bounds(*flags: tuple[str, int]) -> None:
-    """Reject flag values outside 1..MEANDRE_MAX_N."""
-    max_n = _env_int("MEANDRE_MAX_N", DEFAULT_MAX_N)
+def _check_bounds(default_max_n: int, *flags: tuple[str, int]) -> None:
+    """Reject flag values outside 1..MEANDRE_MAX_N (default: default_max_n)."""
+    max_n = _env_int("MEANDRE_MAX_N", default_max_n)
     if max_n < 1:
         raise ValueError(
             f"environment variable MEANDRE_MAX_N must be a positive integer, got {max_n}"
@@ -207,7 +211,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    _check_bounds(("--n", args.n))
+    _check_bounds(CENSUS_MAX_N, ("--n", args.n))
     rows = [frobenius_census(n, ordered=args.ordered) for n in range(1, args.n + 1)]
     if args.json:
         _print_json([{"n": r.n, "by_k": list(r.by_k), "total": r.total} for r in rows])
@@ -218,6 +222,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_bounds(
+        BRUTE_FORCE_MAX_N,
         ("--max-n", args.max_n),
         ("--oracle-max-n", args.oracle_max_n),
         ("--census-max-n", args.census_max_n),

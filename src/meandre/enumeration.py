@@ -3,9 +3,25 @@
 The census counts unordered pairs: (a|b) and (b|a) describe isomorphic
 seaweeds and are counted once, via their canonical representative.  An
 index-0 seaweed always has exactly one full side (sum = n) and one
-deficient side, so enumerating (deficient of n-k | full of n) pairs visits
-every class exactly once; k = n - sum(deficient side) is the number of
-central arcs in the graph.
+deficient side, so the (deficient of n-k | full of n) pairs list every
+class exactly once; k = n - sum(deficient side) is the number of central
+arcs in the graph.
+
+Two routes give the census, one counting and one listing:
+
+* `frobenius_census` counts the pairs without building a graph.  The
+  index is a sum of non-negative reduction-step deltas plus a non-negative
+  parabolic terminal, so a pair has index 0 exactly when no split-equal
+  step fires and the terminal's side is full and all 1s.  The closed-form
+  step only rewrites the leading parts, so the count walks the steps on
+  (rank, forced parts and free total of each side) and chooses a part only
+  when a side's forced parts run out; the count is memoized at those
+  choices.  Rows 1-20 take about a second.
+* `frobenius_seaweeds` lists the classes by building and analyzing the
+  meander graph of each of the 4^n pairs.  It is the reference the count
+  is checked against.
+
+`clear_census_cache` drops the memo of both.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .composition import Composition, SeaweedA, SeaweedC, Series, canonical_pair
-from .index import index_c
+from .index import closed_form_head, index_c
 
 def composition_from_mask(m: int, mask: int) -> Composition:
     """Composition of m cut at the gaps set in mask (MSB = leftmost gap)."""
@@ -82,8 +98,55 @@ def _frobenius_by_k(n: int, series: Series) -> tuple[tuple[SeaweedC, ...], ...]:
     return tuple(groups)
 
 
+def _index_zero_count(
+    rank: int, top: tuple[int, ...], top_free: int, bottom: tuple[int, ...], bottom_free: int
+) -> int:
+    """Number of tails that complete the sides to an index-0 seaweed.
+
+    Each side is its forced parts `top` / `bottom` followed by any
+    composition of `*_free`.  Closed-form steps rewrite the forced heads
+    until a side's forced parts run out; there `_choose_first_part`
+    branches, or the parabolic terminal decides.
+    """
+    while top and bottom:
+        if top[0] == bottom[0]:
+            return 0  # a split-equal step adds a1 > 0 to the index
+        if top[0] > bottom[0]:
+            top, top_free, bottom, bottom_free = bottom, bottom_free, top, top_free
+        a1 = top[0]
+        _, head = closed_form_head(a1, bottom[0])
+        rank, top, bottom = rank - a1, top[1:], head + bottom[1:]
+    if (not top and top_free) or (not bottom and bottom_free):
+        return _choose_first_part(rank, top, top_free, bottom, bottom_free)
+    # Parabolic terminal sum(part//2) + defect: zero only for a full side
+    # of 1s.  A side never exceeds the rank and len(side) <= sum(side), so
+    # len(side) + free == rank says exactly that, with the tail all 1s:
+    # one composition.
+    side, free = (top, top_free) if top else (bottom, bottom_free)
+    return int(len(side) + free == rank)
+
+
+@lru_cache(maxsize=None)
+def _choose_first_part(
+    rank: int, top: tuple[int, ...], top_free: int, bottom: tuple[int, ...], bottom_free: int
+) -> int:
+    """`_index_zero_count` where a side has no forced part left but a
+    positive free total: sum over its next part p.  The memo of the count
+    lives here only, as the steps between two choices are a cheap walk."""
+    if not top and top_free:
+        return sum(
+            _index_zero_count(rank, (p,), top_free - p, bottom, bottom_free)
+            for p in range(1, top_free + 1)
+        )
+    return sum(
+        _index_zero_count(rank, top, top_free, (p,), bottom_free - p)
+        for p in range(1, bottom_free + 1)
+    )
+
+
 def clear_census_cache() -> None:
     _frobenius_by_k.cache_clear()
+    _choose_first_part.cache_clear()
 
 
 def frobenius_seaweeds(
@@ -99,17 +162,19 @@ def frobenius_seaweeds(
     return groups[k - 1]
 
 
-def frobenius_census(n: int, *, ordered: bool = False, series: Series = Series.SP) -> CensusRow:
+def frobenius_census(n: int, *, ordered: bool = False) -> CensusRow:
     """Count Frobenius classes at rank n, split by central-arc count.
 
-    With ordered=True the raw ordered-pair counts are reported instead;
-    every class has exactly two ordered representatives (the sides always
-    have different totals), so these are twice the class counts.
+    The counts are the same for sp(2n) and so(2n+1), whose descriptors,
+    graphs and indices coincide.  With ordered=True the raw ordered-pair
+    counts are reported instead; every class has exactly two ordered
+    representatives (the sides always have different totals), so these are
+    twice the class counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     factor = 2 if ordered else 1
-    by_k = tuple(factor * len(g) for g in _frobenius_by_k(n, series))
+    by_k = tuple(factor * _index_zero_count(n, (), n - k, (), n) for k in range(1, n + 1))
     return CensusRow(n, by_k, sum(by_k))
 
 

@@ -147,13 +147,24 @@ def closed_form_witness(a1: int, b1: int) -> int:
     return p
 
 
+def closed_form_head(a1: int, b1: int) -> tuple[int, tuple[int, ...]]:
+    """Witness p and the parts that replace the bottom head b1 when a1 < b1.
+
+    The head becomes b1' = (p+1)*b1 - (p+2)*a1 and b1'' = (p+1)*a1 - p*b1,
+    with b1' omitted when zero; together they sum to b1 - a1.
+    """
+    p = closed_form_witness(a1, b1)
+    b1_first = (p + 1) * b1 - (p + 2) * a1
+    b1_second = (p + 1) * a1 - p * b1
+    return p, ((b1_second,) if b1_first == 0 else (b1_first, b1_second))
+
+
 def reduce_step_closed(q: SeaweedC) -> ReductionStep:
     """The collapsed rewriting step for a1 < b1.
 
-    With witness p, the bottom head b1 is replaced by the pair
-    b1' = (p+1)*b1 - (p+2)*a1 and b1'' = (p+1)*a1 - p*b1 (b1' omitted when
-    zero) while a1 is dropped and the rank decreases by a1.  Equivalent to
-    p consecutive "large" steps followed by one "small" step.
+    With witness p, the bottom head b1 is replaced by `closed_form_head`
+    while a1 is dropped and the rank decreases by a1.  Equivalent to p
+    consecutive "large" steps followed by one "small" step.
     """
     a, b = q.top.parts, q.bottom.parts
     if not a or not b:
@@ -165,10 +176,7 @@ def reduce_step_closed(q: SeaweedC) -> ReductionStep:
         raise ValueError(
             "sides must be pre-swapped so the leading top part is < the bottom one"
         )
-    p = closed_form_witness(a1, b1)
-    b1_first = (p + 1) * b1 - (p + 2) * a1
-    b1_second = (p + 1) * a1 - p * b1
-    head = (b1_second,) if b1_first == 0 else (b1_first, b1_second)
+    p, head = closed_form_head(a1, b1)
     after = SeaweedC(
         q.rank - a1, Composition(a[1:]), Composition(head + b[1:]), q.series
     )

@@ -7,7 +7,8 @@ Three families of checks, all exact:
 * the Kirillov-form oracle agrees with the graph count (exhaustively at
   small rank, sampled one rank higher);
 * the structural facts behind the Frobenius census: the one-full-side
-  shape, component structure, the rank-raising embeddings, tail
+  shape (whose full 4^n scans are the reference for the census DP),
+  component structure, the rank-raising embeddings, tail
   stabilization and the gl(n) transfer counts.
 
 Each check returns a CheckResult with a minimal counterexample on failure.
@@ -149,7 +150,7 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
     return CheckResult(
         name,
         True,
-        f"full 4^n scans to rank {census_max_n} match the pruned census",
+        f"full 4^n scans to rank {census_max_n} match the census DP",
     )
 
 
@@ -294,10 +295,9 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
 def _check_tail_stabilization(stable_max_n: int) -> CheckResult:
     name = "tail-stabilization"
     rows = {n: frobenius_census(n) for n in range(1, stable_max_n + 1)}
-    for m in range(0, 4):
+    max_m = (stable_max_n - 1) // 2
+    for m in range(0, max_m + 1):
         base = 2 * m + 1
-        if base > stable_max_n:
-            continue
         expected = rows[base].by_k[base - m - 1]
         for n in range(base, stable_max_n + 1):
             got = rows[n].by_k[n - m - 1]
@@ -310,16 +310,16 @@ def _check_tail_stabilization(stable_max_n: int) -> CheckResult:
     return CheckResult(
         name,
         True,
-        f"counts at k = n-m stabilise from rank 2m+1 on, for m <= 3, to rank {stable_max_n}",
+        f"counts at k = n-m stabilise from rank 2m+1 on, for m <= {max_m}, "
+        f"to rank {stable_max_n}",
     )
 
 
 def _check_tail_recurrences(stable_max_n: int) -> CheckResult:
     name = "tail-recurrences"
     rows = {n: frobenius_census(n) for n in range(1, stable_max_n + 1)}
-    for m in range(1, 4):
-        if 2 * m + 1 > stable_max_n:
-            continue
+    max_m = (stable_max_n - 1) // 2
+    for m in range(1, max_m + 1):
         odd = rows[2 * m + 1].by_k[m]
         even = rows[2 * m].by_k[m - 1]
         if odd != even + 1:
@@ -332,7 +332,7 @@ def _check_tail_recurrences(stable_max_n: int) -> CheckResult:
             False,
             f"(n=6, k=3) count {rows[6].by_k[2]} != (n=5, k=2) count + 3",
         )
-    return CheckResult(name, True, "odd/even tail recurrences hold")
+    return CheckResult(name, True, f"odd/even tail recurrences hold for m <= {max_m}")
 
 
 def _check_small_defect_closed_forms(stable_max_n: int) -> CheckResult:

@@ -189,6 +189,17 @@ def test_census_env_cap(capsys, monkeypatch):
     assert "MEANDRE_MAX_N" in err
 
 
+def test_default_caps_census_20_verify_12(capsys, monkeypatch):
+    monkeypatch.delenv("MEANDRE_MAX_N", raising=False)
+    code, out, _ = run(capsys, "census", "--n", "13")
+    assert code == 0
+    assert out.splitlines()[-1].split()[0] == "13"
+    for argv, cap in ((("census", "--n", "21"), 20), (("verify", "--max-n", "13"), 12)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"1..{cap}" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_env_cap_exits_2(capsys, monkeypatch, cap):
     monkeypatch.setenv("MEANDRE_MAX_N", cap)

@@ -7,8 +7,11 @@ from meandre import (
     make_seaweed_a,
     make_seaweed_c,
 )
-from meandre.composition import canonical_pair
+from meandre import index as index_module
+from meandre.composition import Series, canonical_pair
 from meandre.enumeration import (
+    _frobenius_by_k,
+    clear_census_cache,
     embed_up,
     explicit_fn1_element,
     frobenius_seaweeds,
@@ -38,6 +41,35 @@ def test_census_rows_match_reference_table():
 def test_census_ordered_counts_are_doubled():
     row = frobenius_census(5, ordered=True)
     assert row.by_k == tuple(2 * v for v in TABLE[5])
+
+
+@pytest.mark.parametrize("series, max_n", [(Series.SP, 9), (Series.SO_ODD, 6)])
+def test_census_dp_matches_brute_force(series, max_n):
+    for n in range(1, max_n + 1):
+        brute = tuple(len(g) for g in _frobenius_by_k(n, series))
+        assert frobenius_census(n).by_k == brute
+        assert frobenius_census(n, ordered=True).by_k == tuple(2 * v for v in brute)
+
+
+def test_census_builds_no_graph(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("the census built a meander graph")
+
+    monkeypatch.setattr(index_module, "build_graph_c", no_graph)
+    clear_census_cache()
+    assert frobenius_census(7).by_k == TABLE[7]
+
+
+def test_census_tail_and_growth_to_rank_16():
+    rows = [frobenius_census(n) for n in range(1, 17)]
+    totals = [r.total for r in rows]
+    assert all(a < b for a, b in zip(totals, totals[1:]))
+    stable = []
+    for m in range(8):
+        tail = {rows[n - 1].by_k[n - m - 1] for n in range(2 * m + 1, 17)}
+        assert len(tail) == 1, (m, tail)
+        stable.append(tail.pop())
+    assert stable == [1, 2, 5, 14, 32, 78, 174, 390]
 
 
 def test_census_rejects_nonpositive_rank():
