@@ -89,6 +89,8 @@ def _print_json(payload) -> None:
 def _build_descriptor(args: argparse.Namespace) -> SeaweedA | SeaweedC:
     if args.series == "A":
         q = make_seaweed_a(args.top, args.bottom)
+        if q.size == 0:
+            raise ValueError("series A needs a positive total (sl(0) is not an algebra)")
         if args.n is not None and args.n != q.size:
             raise ValueError(f"--n {args.n} does not match the composition total {q.size}")
         return q
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         help="rank bound for the per-element census checks "
-        "(tail identities always use rows up to 9)",
+        "(tail identities use rows up to max(9, this bound))",
     )
     p_verify.add_argument("--samples", type=int, default=5, help="oracle samples per seaweed")
     p_verify.add_argument(

@@ -36,7 +36,6 @@ from typing import Mapping, Sequence
 from .composition import Composition, SeaweedC, symmetrize
 
 Entry = tuple[int, int, int]  # (row, col, value), 0-based
-Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_MAX_RANK = 4
 COEFF_RANGE = 1000
@@ -46,12 +45,12 @@ COEFF_RANGE = 1000
 class MatrixAlgebraBasis:
     """Integer matrix basis of a seaweed with its bracket structure table.
 
+    elements[k] lists the nonzero entries of the 2n x 2n matrix x_k.
     structure[(u, v)] for u < v lists the nonzero coefficients (w, c) of
     [x_u, x_v] = sum c * x_w; pairs with vanishing bracket are absent.
     """
 
-    matrix_size: int
-    elements: tuple[Matrix, ...]
+    elements: tuple[tuple[Entry, ...], ...]
     structure: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]
 
     @property
@@ -64,13 +63,6 @@ def _block_index(comp: Composition) -> list[int]:
     for b, part in enumerate(comp.parts):
         blocks.extend([b] * part)
     return blocks
-
-
-def _dense(size: int, entries: Sequence[Entry]) -> Matrix:
-    rows = [[0] * size for _ in range(size)]
-    for i, j, v in entries:
-        rows[i][j] = v
-    return tuple(tuple(r) for r in rows)
 
 
 def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> MatrixAlgebraBasis:
@@ -94,7 +86,7 @@ def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> Mat
     def admissible(i: int, j: int) -> bool:
         return blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
 
-    sparse_elements: list[tuple[Entry, ...]] = []
+    elements: list[tuple[Entry, ...]] = []
     rep_positions: list[tuple[int, int]] = []
     for i in range(size):
         for j in range(size):
@@ -110,26 +102,25 @@ def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> Mat
                 entries: tuple[Entry, ...] = ((i, j, 1),)
             else:
                 entries = ((i, j, 1), (pi, pj, -eps[i] * eps[j]))
-            sparse_elements.append(entries)
+            elements.append(entries)
             rep_positions.append((i, j))
 
-    for entries in sparse_elements:
+    for entries in elements:
         _check_sp_membership(entries, size, eps)
 
     rep_of = {pos: k for k, pos in enumerate(rep_positions)}
     structure: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    dim = len(sparse_elements)
+    dim = len(elements)
     for u in range(dim):
         for v in range(u + 1, dim):
-            bracket = _sparse_bracket(sparse_elements[u], sparse_elements[v])
+            bracket = _sparse_bracket(elements[u], elements[v])
             if not bracket:
                 continue
-            coeffs = _expand(bracket, rep_of, sparse_elements)
+            coeffs = _expand(bracket, rep_of, elements)
             if coeffs:
                 structure[(u, v)] = coeffs
 
-    dense = tuple(_dense(size, entries) for entries in sparse_elements)
-    return MatrixAlgebraBasis(size, dense, structure)
+    return MatrixAlgebraBasis(tuple(elements), structure)
 
 
 def _check_sp_membership(entries: Sequence[Entry], size: int, eps: Sequence[int]) -> None:
@@ -154,7 +145,7 @@ def _sparse_bracket(x: Sequence[Entry], y: Sequence[Entry]) -> dict[tuple[int, i
 def _expand(
     bracket: dict[tuple[int, int], int],
     rep_of: dict[tuple[int, int], int],
-    sparse_elements: Sequence[tuple[Entry, ...]],
+    elements: Sequence[tuple[Entry, ...]],
 ) -> tuple[tuple[int, int], ...]:
     coeffs: list[tuple[int, int]] = []
     rebuilt: dict[tuple[int, int], int] = {}
@@ -163,7 +154,7 @@ def _expand(
         if k is None:
             continue  # non-representative entry; covered by its partner
         coeffs.append((k, value))
-        for i, j, v in sparse_elements[k]:
+        for i, j, v in elements[k]:
             rebuilt[(i, j)] = rebuilt.get((i, j), 0) + value * v
     if {p: v for p, v in rebuilt.items() if v} != bracket:
         raise AssertionError("bracket left the span: basis is not closed")
@@ -208,7 +199,6 @@ def index_oracle(
     *,
     seed: int | None = 0,
     max_rank: int = DEFAULT_MAX_RANK,
-    basis: MatrixAlgebraBasis | None = None,
 ) -> int:
     """dim q minus the best Kirillov-form rank over `samples` random functionals.
 
@@ -217,10 +207,11 @@ def index_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if basis is None:
-        basis = build_seaweed_matrices(q, max_rank)
+    basis = build_seaweed_matrices(q, max_rank)
     rng = random.Random(seed)
     dim = basis.dimension
+    # An alternating form has even rank, so no sample can beat this.
+    full = dim - dim % 2
     best = 0
     for _ in range(samples):
         coords = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(dim)]
@@ -230,6 +221,6 @@ def index_oracle(
             form[u][v] = value
             form[v][u] = -value
         best = max(best, integer_rank(form))
-        if best == dim:
+        if best == full:
             break
     return dim - best

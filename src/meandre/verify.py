@@ -96,36 +96,32 @@ def check_index_methods(max_n: int = 6, inject_fault: bool = False) -> CheckResu
     return CheckResult(name, True, f"{checked} seaweeds up to rank {max_n}")
 
 
-def check_kirillov_oracle(
-    max_n: int = 3,
-    extra_rank: int = 4,
-    extra_count: int = 50,
-    samples: int = 5,
-    seed: int = 0,
-) -> CheckResult:
+def check_kirillov_oracle(max_n: int = 3, samples: int = 5, seed: int = 0) -> CheckResult:
     """Kirillov-form rank oracle == graph count.
 
-    Exhaustive up to max_n, plus `extra_count` descriptors sampled without
-    replacement at `extra_rank`; all randomness derives from `seed`.
+    Exhaustive up to max_n, plus 50 descriptors sampled without replacement
+    at rank max_n + 1 (all of them when that rank has fewer); all randomness
+    derives from `seed`.
     """
     name = "kirillov-oracle-agrees"
     rng = random.Random(seed)
     pool: list[SeaweedC] = []
     for n in range(1, max_n + 1):
         pool.extend(seaweed_pairs(n))
-    extra = list(seaweed_pairs(extra_rank))
-    pool.extend(rng.sample(extra, min(extra_count, len(extra))))
-    rank_bound = max(max_n, extra_rank)
+    sample_rank = max_n + 1
+    above = list(seaweed_pairs(sample_rank))
+    sampled = min(50, len(above))
+    pool.extend(rng.sample(above, sampled))
     for q in pool:
         expected = index_c(q)
-        got = index_oracle(q, samples, seed=rng.randrange(2**30), max_rank=rank_bound)
+        got = index_oracle(q, samples, seed=rng.randrange(2**30), max_rank=sample_rank)
         if got != expected:
             return _fail(name, f"oracle {got}, graph {expected}", q)
     return CheckResult(
         name,
         True,
         f"{len(pool)} seaweeds (exhaustive to rank {max_n}, "
-        f"{extra_count} sampled at rank {extra_rank}), {samples} samples each",
+        f"{sampled} sampled at rank {sample_rank}), {samples} samples each",
     )
 
 

@@ -1,0 +1,19 @@
+import runpy
+import sys
+from pathlib import Path
+
+from meandre import frobenius_census
+from meandre.io_render import census_table
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "census_report.py"
+
+
+def test_census_report_table_and_tail(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--max-n", "9"])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    out = capsys.readouterr().out
+    table, rest = out.split("\n\ncomputed in ", 1)
+    assert table == census_table([frobenius_census(n) for n in range(1, 10)])
+    tail = rest.split("stable tail counts (constant for every larger rank):\n", 1)[1]
+    assert "  k = n-4: 32\n" in tail
+    assert "NOT yet settled" not in tail

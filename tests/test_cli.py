@@ -93,6 +93,12 @@ def test_index_validation_error_exits_2(capsys):
     assert "exceeds rank" in err
 
 
+def test_index_empty_series_a_exits_2(capsys):
+    code, out, err = run(capsys, "index", "--series", "A", "--top", "", "--bottom", "")
+    assert code == 2 and out == ""
+    assert "sl(0) is not an algebra" in err
+
+
 def test_index_missing_n_exits_2(capsys):
     code, _, err = run(capsys, "index", "--series", "C", "--top", "1", "--bottom", "")
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meandre import index_c, index_oracle, make_seaweed_c
+from meandre import index_c, index_oracle, make_seaweed_c, oracle
 from meandre.enumeration import seaweed_pairs
 from meandre.oracle import build_seaweed_matrices, integer_rank
 
@@ -59,23 +59,23 @@ def test_dimensions():
 
 
 def test_elements_satisfy_sp_condition():
-    basis = build_seaweed_matrices(make_seaweed_c(2, "1", "2"))
-    size = basis.matrix_size
-    for mat in basis.elements:
+    q = make_seaweed_c(2, "1", "2")
+    size = 2 * q.rank
+    for entries in build_seaweed_matrices(q).elements:
+        mat = {(i, j): v for i, j, v in entries}
+        assert all(v for v in mat.values())
         for i in range(size):
             for j in range(size):
                 eps_i = 1 if i < size // 2 else -1
                 eps_j = 1 if j < size // 2 else -1
-                assert mat[i][j] == -eps_i * eps_j * mat[size - 1 - j][size - 1 - i]
+                partner = mat.get((size - 1 - j, size - 1 - i), 0)
+                assert mat.get((i, j), 0) == -eps_i * eps_j * partner
 
 
 def test_elements_are_independent():
     # each element owns a matrix position no other element touches
     basis = build_seaweed_matrices(make_seaweed_c(3, "2,1", "3"))
-    supports = [
-        {(i, j) for i in range(basis.matrix_size) for j in range(basis.matrix_size) if m[i][j]}
-        for m in basis.elements
-    ]
+    supports = [{(i, j) for i, j, v in entries if v} for entries in basis.elements]
     for k, support in enumerate(supports):
         others = set().union(*(s for i, s in enumerate(supports) if i != k))
         assert support - others
@@ -94,6 +94,19 @@ def test_index_oracle_known_values():
     assert index_oracle(make_seaweed_c(2, "", "")) == 2  # rank of sp(4)
     q = make_seaweed_c(3, "2,1", "3")
     assert index_oracle(q) == index_c(q)
+
+
+def test_index_oracle_stops_at_the_largest_even_rank(monkeypatch):
+    # dim 1: an alternating form has even rank, so rank 0 after one sample is final
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(rows)
+        return integer_rank(rows)
+
+    monkeypatch.setattr(oracle, "integer_rank", counting_rank)
+    assert index_oracle(make_seaweed_c(1, "1", "1"), 5) == 1
+    assert len(calls) == 1
 
 
 def test_index_oracle_rejects_zero_samples():

@@ -25,8 +25,9 @@ def test_index_methods_check_passes():
 
 
 def test_kirillov_check_passes():
-    result = check_kirillov_oracle(2, extra_count=10, samples=5, seed=0)
+    result = check_kirillov_oracle(2, samples=5, seed=0)
     assert result.passed
+    assert "50 sampled at rank 3" in result.detail
 
 
 def test_structure_suite_passes_at_small_bounds():
