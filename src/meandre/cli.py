@@ -31,10 +31,10 @@ Usage examples
   meandre census --n 7
   meandre verify --max-n 5
 
-Environment: MEANDRE_MAX_N caps the census rank (default 20) and the
-verification bounds (default 12), MEANDRE_SEED seeds the oracle sampling
-(default 0).  Exit codes: 0 ok, 1 verification failure, 2 usage or
-validation error.
+Environment: MEANDRE_MAX_N caps the census rank (default 20), the
+verification bounds (default 12) and the oracle bound (default 6).  verify
+--samples must be at least 1; --seed seeds the oracle sampling (default 0).
+Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -58,26 +58,23 @@ from .verify import run_all
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
 BRUTE_FORCE_MAX_N = 12  # verify's 4^n scans
+ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
+def _check_bounds(*flags: tuple[str, int, int]) -> None:
+    """Reject a (name, value, default cap) flag outside 1..cap; MEANDRE_MAX_N,
+    when set, replaces every default cap."""
+    raw = os.environ.get("MEANDRE_MAX_N", "").strip()
     try:
-        return int(raw)
+        env_max_n = int(raw) if raw else None
     except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
-def _check_bounds(default_max_n: int, *flags: tuple[str, int]) -> None:
-    """Reject flag values outside 1..MEANDRE_MAX_N (default: default_max_n)."""
-    max_n = _env_int("MEANDRE_MAX_N", default_max_n)
-    if max_n < 1:
+        raise ValueError(f"environment variable MEANDRE_MAX_N must be an integer, got {raw!r}")
+    if env_max_n is not None and env_max_n < 1:
         raise ValueError(
-            f"environment variable MEANDRE_MAX_N must be a positive integer, got {max_n}"
+            f"environment variable MEANDRE_MAX_N must be a positive integer, got {env_max_n}"
         )
-    for name, value in flags:
+    for name, value, default_max_n in flags:
+        max_n = env_max_n or default_max_n
         if not 1 <= value <= max_n:
             raise ValueError(f"{name} must lie in 1..{max_n} (MEANDRE_MAX_N), got {value}")
 
@@ -213,7 +210,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    _check_bounds(CENSUS_MAX_N, ("--n", args.n))
+    _check_bounds(("--n", args.n, CENSUS_MAX_N))
     rows = [frobenius_census(n, ordered=args.ordered) for n in range(1, args.n + 1)]
     if args.json:
         _print_json([{"n": r.n, "by_k": list(r.by_k), "total": r.total} for r in rows])
@@ -224,19 +221,18 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_bounds(
-        BRUTE_FORCE_MAX_N,
-        ("--max-n", args.max_n),
-        ("--oracle-max-n", args.oracle_max_n),
-        ("--census-max-n", args.census_max_n),
+        ("--max-n", args.max_n, BRUTE_FORCE_MAX_N),
+        ("--oracle-max-n", args.oracle_max_n, ORACLE_MAX_N),
+        ("--census-max-n", args.census_max_n, BRUTE_FORCE_MAX_N),
     )
-    seed = args.seed if args.seed is not None else _env_int("MEANDRE_SEED", 0)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     results = run_all(
         max_n=args.max_n,
         oracle_max_n=args.oracle_max_n,
         census_max_n=args.census_max_n,
-        stable_max_n=max(args.census_max_n, 9),
         samples=args.samples,
-        seed=seed,
+        seed=args.seed,
         inject_fault=args.inject_fault,
     )
     for result in results:
@@ -328,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank bound for the per-element census checks "
         "(tail identities use rows up to max(9, this bound))",
     )
-    p_verify.add_argument("--samples", type=int, default=5, help="oracle samples per seaweed")
     p_verify.add_argument(
-        "--seed", type=int, default=None, help="random seed (default MEANDRE_SEED or 0)"
+        "--samples", type=int, default=5, help="oracle samples per seaweed (at least 1)"
     )
+    p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_verify.add_argument(
         "--inject-fault",
         action="store_true",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .composition import Composition, SeaweedA, SeaweedC, Series, canonical_pair
+from .composition import Composition, SeaweedA, SeaweedC, canonical_pair
 from .index import closed_form_head, index_c
 
 def composition_from_mask(m: int, mask: int) -> Composition:
@@ -67,12 +67,12 @@ def compositions_of(m: int) -> Iterator[Composition]:
         yield composition_from_mask(m, mask)
 
 
-def seaweed_pairs(n: int, series: Series = Series.SP) -> Iterator[SeaweedC]:
+def seaweed_pairs(n: int) -> Iterator[SeaweedC]:
     """All 4^n ordered descriptor pairs at rank n (totals independently <= n)."""
     comps = [c for m in range(n + 1) for c in compositions_of(m)]
     for top in comps:
         for bottom in comps:
-            yield SeaweedC(n, top, bottom, series)
+            yield SeaweedC(n, top, bottom)
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,14 @@ class CensusRow:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_by_k(n: int, series: Series) -> tuple[tuple[SeaweedC, ...], ...]:
+def _frobenius_by_k(n: int) -> tuple[tuple[SeaweedC, ...], ...]:
     groups: list[tuple[SeaweedC, ...]] = []
     for k in range(1, n + 1):
         found = [
             canonical_pair(q)
             for full in compositions_of(n)
             for deficient in compositions_of(n - k)
-            if index_c(q := SeaweedC(n, deficient, full, series)) == 0
+            if index_c(q := SeaweedC(n, deficient, full)) == 0
         ]
         groups.append(tuple(found))
     return tuple(groups)
@@ -149,12 +149,10 @@ def clear_census_cache() -> None:
     _choose_first_part.cache_clear()
 
 
-def frobenius_seaweeds(
-    n: int, k: int | None = None, series: Series = Series.SP
-) -> tuple[SeaweedC, ...]:
+def frobenius_seaweeds(n: int, k: int | None = None) -> tuple[SeaweedC, ...]:
     """Canonical index-0 representatives at rank n, optionally only those
     with k central arcs."""
-    groups = _frobenius_by_k(n, series)
+    groups = _frobenius_by_k(n)
     if k is None:
         return tuple(itertools.chain.from_iterable(groups))
     if not 1 <= k <= n:
@@ -176,19 +174,6 @@ def frobenius_census(n: int, *, ordered: bool = False) -> CensusRow:
     factor = 2 if ordered else 1
     by_k = tuple(factor * _index_zero_count(n, (), n - k, (), n) for k in range(1, n + 1))
     return CensusRow(n, by_k, sum(by_k))
-
-
-def explicit_fn1_element(n: int, series: Series = Series.SP) -> SeaweedC:
-    """An index-0 seaweed with a single central arc, at every rank n >= 1.
-
-    Built from runs of 2s: (2^k | 1,2^(k-1)) for n = 2k and (2^k | 1,2^k)
-    for n = 2k+1 (so n = 1 degenerates to (| 1))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = n // 2
-    top = (2,) * k
-    bottom = (1,) + (2,) * (k - 1 if n % 2 == 0 else k)
-    return SeaweedC(n, Composition(top), Composition(bottom), series)
 
 
 def _deficient_first(q: SeaweedC) -> SeaweedC:

@@ -49,11 +49,6 @@ def index_a_gl(q: SeaweedA) -> int:
     return index_a_from_report(analyze(build_graph_a(q)))
 
 
-def index_a_sl(q: SeaweedA) -> int:
-    """Index of the corresponding sl(N) seaweed: the gl value minus one."""
-    return index_a_gl(q) - 1
-
-
 def index_c(q: SeaweedC) -> int:
     """Index of an sp(2n) / so(2n+1) seaweed from its symmetric graph."""
     return index_c_from_report(analyze(build_graph_c(q)))

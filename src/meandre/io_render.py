@@ -146,14 +146,16 @@ _BOTTOM_CORNERS = ("╰", "╯")
 _MIRROR = "|"
 
 
-def _heights(arcs: tuple[Arc, ...]) -> dict[Arc, int]:
-    """Nesting height of each arc; innermost arcs sit next to the vertex row."""
-    heights: dict[Arc, int] = {}
-    for arc in sorted(arcs, key=lambda a: (a[1] - a[0], a[0])):
-        i, j = arc
-        inside = [h for (x, y), h in heights.items() if i < x and y < j]
-        heights[arc] = 1 + max(inside, default=0)
-    return heights
+def _height(arc: Arc) -> int:
+    """Row of an arc above (or below) the vertex row: half its span, rounded up.
+
+    The arcs of one composition part nest with no gaps, so this is their
+    nesting height, innermost next to the vertex row.  Any non-crossing
+    system still draws without overlap: an enclosing arc's span exceeds
+    that of every arc inside it by at least 2, so it sits strictly higher.
+    """
+    i, j = arc
+    return (j - i + 1) // 2
 
 
 def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
@@ -168,10 +170,8 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
             f"drawing needs {width} columns (limit {max_width}); "
             "use the dot renderer for graphs this wide"
         )
-    top_heights = _heights(g.top_arcs)
-    bottom_heights = _heights(g.bottom_arcs)
-    rows_top = max(top_heights.values(), default=0)
-    rows_bottom = max(bottom_heights.values(), default=0)
+    rows_top = max(map(_height, g.top_arcs), default=0)
+    rows_bottom = max(map(_height, g.bottom_arcs), default=0)
     pad = 1 if g.symmetric else 0  # extra rows so the centre line shows
     vrow = pad + rows_top
     grid = [[" "] * width for _ in range(rows_top + rows_bottom + 1 + 2 * pad)]
@@ -181,8 +181,8 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
 
     for v in range(1, n + 1):
         grid[vrow][col(v)] = "*"
-    for (i, j), h in top_heights.items():
-        row = vrow - h
+    for i, j in g.top_arcs:
+        row = vrow - _height((i, j))
         grid[row][col(i)] = _TOP_CORNERS[0]
         grid[row][col(j)] = _TOP_CORNERS[1]
         for c in range(col(i) + 1, col(j)):
@@ -190,8 +190,8 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
         for r in range(row + 1, vrow):
             grid[r][col(i)] = "│"
             grid[r][col(j)] = "│"
-    for (i, j), h in bottom_heights.items():
-        row = vrow + h
+    for i, j in g.bottom_arcs:
+        row = vrow + _height((i, j))
         grid[row][col(i)] = _BOTTOM_CORNERS[0]
         grid[row][col(j)] = _BOTTOM_CORNERS[1]
         for c in range(col(i) + 1, col(j)):

@@ -50,11 +50,6 @@ class MeanderGraph:
                 if mirrored != arcs:
                     raise ValueError(f"{name} are not symmetric under v -> {m}-v")
 
-    def degree(self, v: int) -> int:
-        return sum(v in arc for arc in self.top_arcs) + sum(
-            v in arc for arc in self.bottom_arcs
-        )
-
 
 def _validate_side(name: str, arcs: tuple[Arc, ...], n: int) -> None:
     seen: set[int] = set()
@@ -90,11 +85,9 @@ class Component:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Component decomposition plus the central-arc counts of the graph."""
+    """Component decomposition of a meander graph."""
 
     components: tuple[Component, ...]
-    central_arcs_top: int
-    central_arcs_bottom: int
 
     @property
     def cycles(self) -> int:
@@ -196,7 +189,4 @@ def analyze(g: MeanderGraph) -> ComponentReport:
         stable = g.symmetric and set(vertices) == {mirror - v for v in vertices}
         kind = ComponentKind.CYCLE if closed else ComponentKind.SEGMENT
         comps.append(Component(vertices, kind, stable))
-
-    central_top = sum(1 for i, j in g.top_arcs if 2 * i <= n < 2 * j)
-    central_bottom = sum(1 for i, j in g.bottom_arcs if 2 * i <= n < 2 * j)
-    return ComponentReport(tuple(comps), central_top, central_bottom)
+    return ComponentReport(tuple(comps))

@@ -288,14 +288,14 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_tail_stabilization(stable_max_n: int) -> CheckResult:
+def _check_tail_stabilization(max_n: int) -> CheckResult:
     name = "tail-stabilization"
-    rows = {n: frobenius_census(n) for n in range(1, stable_max_n + 1)}
-    max_m = (stable_max_n - 1) // 2
+    rows = {n: frobenius_census(n) for n in range(1, max_n + 1)}
+    max_m = (max_n - 1) // 2
     for m in range(0, max_m + 1):
         base = 2 * m + 1
         expected = rows[base].by_k[base - m - 1]
-        for n in range(base, stable_max_n + 1):
+        for n in range(base, max_n + 1):
             got = rows[n].by_k[n - m - 1]
             if got != expected:
                 return CheckResult(
@@ -307,14 +307,14 @@ def _check_tail_stabilization(stable_max_n: int) -> CheckResult:
         name,
         True,
         f"counts at k = n-m stabilise from rank 2m+1 on, for m <= {max_m}, "
-        f"to rank {stable_max_n}",
+        f"to rank {max_n}",
     )
 
 
-def _check_tail_recurrences(stable_max_n: int) -> CheckResult:
+def _check_tail_recurrences(max_n: int) -> CheckResult:
     name = "tail-recurrences"
-    rows = {n: frobenius_census(n) for n in range(1, stable_max_n + 1)}
-    max_m = (stable_max_n - 1) // 2
+    rows = {n: frobenius_census(n) for n in range(1, max_n + 1)}
+    max_m = (max_n - 1) // 2
     for m in range(1, max_m + 1):
         odd = rows[2 * m + 1].by_k[m]
         even = rows[2 * m].by_k[m - 1]
@@ -322,7 +322,7 @@ def _check_tail_recurrences(stable_max_n: int) -> CheckResult:
             return CheckResult(
                 name, False, f"m={m}: count {odd} at rank {2 * m + 1} != {even} + 1"
             )
-    if stable_max_n >= 6 and rows[6].by_k[2] != rows[5].by_k[1] + 3:
+    if max_n >= 6 and rows[6].by_k[2] != rows[5].by_k[1] + 3:
         return CheckResult(
             name,
             False,
@@ -331,9 +331,9 @@ def _check_tail_recurrences(stable_max_n: int) -> CheckResult:
     return CheckResult(name, True, f"odd/even tail recurrences hold for m <= {max_m}")
 
 
-def _check_small_defect_closed_forms(stable_max_n: int) -> CheckResult:
+def _check_small_defect_closed_forms(max_n: int) -> CheckResult:
     name = "small-defect-closed-forms"
-    for n in range(1, stable_max_n + 1):
+    for n in range(1, max_n + 1):
         row = frobenius_census(n)
         if row.by_k[n - 1] != 1:
             return CheckResult(name, False, f"count at k=n is {row.by_k[n - 1]} at n={n}")
@@ -350,13 +350,14 @@ def _check_small_defect_closed_forms(stable_max_n: int) -> CheckResult:
                     name, False, f"count at k=n-2 is {row.by_k[n - 3]} at n={n}"
                 )
     return CheckResult(
-        name, True, f"k = n, n-1, n-2 counts match their closed forms to rank {stable_max_n}"
+        name, True, f"k = n, n-1, n-2 counts match their closed forms to rank {max_n}"
     )
 
 
-def check_structure(census_max_n: int = 7, stable_max_n: int = 9) -> list[CheckResult]:
+def check_structure(census_max_n: int = 7) -> list[CheckResult]:
     """The census-level checks; per-element ones range to census_max_n, the
-    row-level tail identities to stable_max_n."""
+    row-level tail identities to max(census_max_n, 9)."""
+    rows_max_n = max(census_max_n, 9)
     return [
         _check_one_full_side(census_max_n),
         _check_component_structure(census_max_n),
@@ -364,9 +365,9 @@ def check_structure(census_max_n: int = 7, stable_max_n: int = 9) -> list[CheckR
         _check_single_arc_gl_index(census_max_n),
         _check_single_arc_growth(census_max_n),
         _check_type_a_transfer(census_max_n),
-        _check_tail_stabilization(stable_max_n),
-        _check_tail_recurrences(stable_max_n),
-        _check_small_defect_closed_forms(stable_max_n),
+        _check_tail_stabilization(rows_max_n),
+        _check_tail_recurrences(rows_max_n),
+        _check_small_defect_closed_forms(rows_max_n),
     ]
 
 
@@ -374,7 +375,6 @@ def run_all(
     max_n: int = 6,
     oracle_max_n: int = 3,
     census_max_n: int = 7,
-    stable_max_n: int = 9,
     samples: int = 5,
     seed: int = 0,
     inject_fault: bool = False,
@@ -383,5 +383,5 @@ def run_all(
         check_index_methods(max_n, inject_fault=inject_fault),
         check_kirillov_oracle(oracle_max_n, samples=samples, seed=seed),
     ]
-    results.extend(check_structure(census_max_n, stable_max_n))
+    results.extend(check_structure(census_max_n))
     return results

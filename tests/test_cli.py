@@ -200,7 +200,11 @@ def test_default_caps_census_20_verify_12(capsys, monkeypatch):
     code, out, _ = run(capsys, "census", "--n", "13")
     assert code == 0
     assert out.splitlines()[-1].split()[0] == "13"
-    for argv, cap in ((("census", "--n", "21"), 20), (("verify", "--max-n", "13"), 12)):
+    for argv, cap in (
+        (("census", "--n", "21"), 20),
+        (("verify", "--max-n", "13"), 12),
+        (("verify", "--oracle-max-n", "7"), 6),
+    ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"1..{cap}" in err
@@ -213,6 +217,17 @@ def test_nonpositive_env_cap_exits_2(capsys, monkeypatch, cap):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"MEANDRE_MAX_N must be a positive integer, got {cap}" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_rejects_samples_below_1_before_any_check(capsys, monkeypatch, samples):
+    def no_checks(**kwargs):
+        raise AssertionError("verify ran its checks")
+
+    monkeypatch.setattr("meandre.cli.run_all", no_checks)
+    code, out, err = run(capsys, "verify", "--samples", samples)
+    assert code == 2 and out == ""
+    assert f"--samples must be at least 1, got {samples}" in err
 
 
 def test_verify_passes_at_small_bounds(capsys):

@@ -8,7 +8,6 @@ from meandre.enumeration import composition_from_mask, compositions_of, seaweed_
 from meandre.index import (
     Rule,
     closed_form_witness,
-    index_a_sl,
     parabolic_index_c,
     reduce_step,
     reduce_step_closed,
@@ -41,9 +40,10 @@ def test_index_a_gl_examples():
 
 
 def test_index_a_sl_examples():
-    assert index_a_sl(make_seaweed_a("5,2,2", "2,4,3")) == 2
-    assert index_a_sl(make_seaweed_a("1,1", "2")) == 0  # Borel of sl(2)
-    assert index_a_sl(make_seaweed_a("3", "3")) == 2
+    # The sl index is the gl index minus one.
+    assert index_a_gl(make_seaweed_a("5,2,2", "2,4,3")) - 1 == 2
+    assert index_a_gl(make_seaweed_a("1,1", "2")) - 1 == 0  # Borel of sl(2)
+    assert index_a_gl(make_seaweed_a("3", "3")) - 1 == 2
 
 
 def test_index_c_examples():

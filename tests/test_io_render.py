@@ -13,7 +13,8 @@ from meandre import (
     to_dot,
     to_json,
 )
-from meandre.enumeration import composition_from_mask, seaweed_pairs
+from meandre.composition import SeaweedA
+from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
 
 
 def test_json_payload_small_borel():
@@ -166,3 +167,38 @@ def test_ascii_draws_every_vertex():
     for q in (make_seaweed_c(7, "2,3", ""), make_seaweed_c(4, "2,2", "1,2")):
         doc = document(q)
         assert to_ascii(doc).count("*") == doc.graph.vertex_count
+
+
+def nesting_heights(arcs):
+    """Each arc's height by nesting: 1 + the largest height of the arcs strictly inside."""
+    heights = {}
+    for i, j in sorted(arcs, key=lambda arc: arc[1] - arc[0]):
+        inside = [h for (x, y), h in heights.items() if i < x and y < j]
+        heights[(i, j)] = 1 + max(inside, default=0)
+    return heights
+
+
+def drawn_heights(art, arcs, corner, step):
+    """Rows from the vertex row to each arc's left corner, walking `step` rows at a time."""
+    rows = art.split("\n")
+    vrow = next(r for r, line in enumerate(rows) if line.startswith("*"))
+    heights = {}
+    for i, j in arcs:
+        col = 2 * (i - 1)
+        heights[(i, j)] = next(
+            h for h in range(1, len(rows)) if rows[vrow + step * h][col : col + 1] == corner
+        )
+    return heights
+
+
+def test_ascii_arc_heights_are_nesting_heights_exhaustive():
+    descriptors = [q for n in range(1, 7) for q in seaweed_pairs(n)]
+    for size in range(1, 9):
+        comps = list(compositions_of(size))
+        descriptors += [SeaweedA(top, bottom) for top in comps for bottom in comps]
+    for q in descriptors:
+        doc = document(q)
+        art = to_ascii(doc)
+        g = doc.graph
+        assert drawn_heights(art, g.top_arcs, "╭", -1) == nesting_heights(g.top_arcs)
+        assert drawn_heights(art, g.bottom_arcs, "╰", 1) == nesting_heights(g.bottom_arcs)

@@ -31,7 +31,7 @@ def test_kirillov_check_passes():
 
 
 def test_structure_suite_passes_at_small_bounds():
-    results = check_structure(census_max_n=5, stable_max_n=7)
+    results = check_structure(census_max_n=5)
     assert {r.name for r in results} == STRUCTURE_CHECK_NAMES
     assert all(r.passed for r in results)
 
@@ -44,6 +44,6 @@ def test_fault_injection_is_caught_and_named():
 
 
 def test_run_all_shape():
-    results = run_all(max_n=3, oracle_max_n=2, census_max_n=4, stable_max_n=7)
+    results = run_all(max_n=3, oracle_max_n=2, census_max_n=4)
     assert len(results) == 11
     assert all(r.passed for r in results)
