@@ -32,7 +32,7 @@ Usage examples
   meandre verify --max-n 5
 
 Environment: MEANDRE_MAX_N caps the census rank (default 20), the
-verification bounds (default 12) and the oracle bound (default 6).  verify
+verification bounds (default 8) and the oracle bound (default 6).  verify
 --samples must be at least 1; --seed seeds the oracle sampling (default 0).
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
@@ -57,7 +57,7 @@ from .io_render import census_table, document, payload_head, to_ascii, to_dot, t
 from .verify import run_all
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
-BRUTE_FORCE_MAX_N = 12  # verify's 4^n scans
+BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
 
 
@@ -233,7 +233,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         census_max_n=args.census_max_n,
         samples=args.samples,
         seed=args.seed,
-        inject_fault=args.inject_fault,
     )
     for result in results:
         print(result)
@@ -328,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=5, help="oracle samples per seaweed (at least 1)"
     )
     p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p_verify.add_argument(
-        "--inject-fault",
-        action="store_true",
-        help="flip one mirror-stability bit to prove mismatches are caught (self-test)",
-    )
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

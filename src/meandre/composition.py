@@ -32,12 +32,6 @@ class Composition:
                 )
         object.__setattr__(self, "total", sum(self.parts))
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
     def to_text(self) -> str:
         """Machine form "a1,a2,...,as"; the empty composition is ""."""
         return ",".join(str(p) for p in self.parts)

@@ -2,8 +2,7 @@
 
 Two independent routes to the same number:
 
-* the component count of the meander graph -- 2*cycles + segments for gl,
-  cycles + (non-mirror-stable segments)/2 for sp / so-odd;
+* the component count of the meander graph (`ComponentReport.index`);
 * rewriting of the leading parts, which strictly lowers the rank until one
   side is empty and the parabolic formula sum(part//2) + defect applies.
 
@@ -20,7 +19,7 @@ import enum
 from dataclasses import dataclass, replace
 
 from .composition import Composition, SeaweedA, SeaweedC
-from .meander import ComponentReport, analyze, build_graph_a, build_graph_c
+from .meander import analyze, build_graph_a, build_graph_c
 
 
 class Rule(enum.Enum):
@@ -30,28 +29,14 @@ class Rule(enum.Enum):
     CLOSED_FORM = "closed-form"
 
 
-def index_a_from_report(report: ComponentReport) -> int:
-    return 2 * report.cycles + report.segments
-
-
-def index_c_from_report(report: ComponentReport) -> int:
-    loose = report.loose_segments
-    if loose % 2:
-        raise AssertionError(
-            "segments not fixed by the mirror must come in pairs; "
-            f"got {loose} of them"
-        )
-    return report.cycles + loose // 2
-
-
 def index_a_gl(q: SeaweedA) -> int:
     """Index of a gl(N) seaweed: 2*cycles + segments of its graph."""
-    return index_a_from_report(analyze(build_graph_a(q)))
+    return analyze(build_graph_a(q)).index
 
 
 def index_c(q: SeaweedC) -> int:
     """Index of an sp(2n) / so(2n+1) seaweed from its symmetric graph."""
-    return index_c_from_report(analyze(build_graph_c(q)))
+    return analyze(build_graph_c(q)).index
 
 
 def parabolic_index_c(rank: int, side: Composition) -> int:
@@ -73,7 +58,7 @@ class ReductionStep:
 
     rule: Rule
     before: SeaweedC
-    after: SeaweedC | None
+    after: SeaweedC
     index_delta: int
     swapped: bool = False
     witness_p: int | None = None
@@ -197,7 +182,7 @@ def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain
             step = reduce_step(work)
         if swapped:
             step = replace(step, before=cur, swapped=True)
-        assert step.after is not None and step.after.rank < cur.rank  # termination
+        assert step.after.rank < cur.rank  # termination
         steps.append(step)
         total += step.index_delta
         cur = step.after

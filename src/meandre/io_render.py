@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .composition import SeaweedA, SeaweedC, Series, parse_composition
 from .enumeration import CensusRow
-from .index import index_a_from_report, index_c_from_report
 from .meander import (
     Arc,
     ComponentKind,
@@ -36,20 +35,16 @@ class GraphDocument:
     descriptor: Descriptor
     graph: MeanderGraph
     report: ComponentReport
-    index: int
+
+    @property
+    def index(self) -> int:
+        return self.report.index
 
 
 def document(q: Descriptor) -> GraphDocument:
     """Build the full document for a descriptor."""
-    if isinstance(q, SeaweedA):
-        graph = build_graph_a(q)
-        report = analyze(graph)
-        idx = index_a_from_report(report)
-    else:
-        graph = build_graph_c(q)
-        report = analyze(graph)
-        idx = index_c_from_report(report)
-    return GraphDocument(q, graph, report, idx)
+    graph = build_graph_a(q) if isinstance(q, SeaweedA) else build_graph_c(q)
+    return GraphDocument(q, graph, analyze(graph))
 
 
 def payload_head(q: Descriptor) -> dict:

@@ -85,9 +85,10 @@ class Component:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Component decomposition of a meander graph."""
+    """Component decomposition of a meander graph; `symmetric` is the graph's."""
 
     components: tuple[Component, ...]
+    symmetric: bool = False
 
     @property
     def cycles(self) -> int:
@@ -109,6 +110,20 @@ class ComponentReport:
     @property
     def total_arcs(self) -> int:
         return sum(len(c.vertices) - (0 if c.is_cycle else 1) for c in self.components)
+
+    @property
+    def index(self) -> int:
+        """The graph-route index: 2*cycles + segments for a plain (gl) graph,
+        cycles + (segments not fixed by the mirror)/2 for a symmetric one."""
+        if not self.symmetric:
+            return 2 * self.cycles + self.segments
+        loose = self.loose_segments
+        if loose % 2:
+            raise AssertionError(
+                "segments not fixed by the mirror must come in pairs; "
+                f"got {loose} of them"
+            )
+        return self.cycles + loose // 2
 
 
 def _arcs_for(comp: Composition) -> tuple[Arc, ...]:
@@ -189,4 +204,4 @@ def analyze(g: MeanderGraph) -> ComponentReport:
         stable = g.symmetric and set(vertices) == {mirror - v for v in vertices}
         kind = ComponentKind.CYCLE if closed else ComponentKind.SEGMENT
         comps.append(Component(vertices, kind, stable))
-    return ComponentReport(tuple(comps))
+    return ComponentReport(tuple(comps), g.symmetric)

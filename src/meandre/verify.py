@@ -12,14 +12,12 @@ Three families of checks, all exact:
   stabilization and the gl(n) transfer counts.
 
 Each check returns a CheckResult with a minimal counterexample on failure.
-`inject_fault` flips one mirror-stability bit on the first eligible graph;
-it exists so the harness can prove it detects mismatches.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .composition import SeaweedA, SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
@@ -31,14 +29,8 @@ from .enumeration import (
     seaweed_pairs,
     to_type_a,
 )
-from .index import (
-    index_a_from_report,
-    index_a_gl,
-    index_c,
-    index_c_from_report,
-    reduction_chain,
-)
-from .meander import ComponentReport, analyze, build_graph_a, build_graph_c
+from .index import index_a_gl, index_c, reduction_chain
+from .meander import analyze, build_graph_c
 from .oracle import index_oracle
 
 
@@ -59,31 +51,13 @@ def _fail(name: str, detail: str, q) -> CheckResult:
     return CheckResult(name, False, detail, counterexample=str(q))
 
 
-def _flip_first_stable(report: ComponentReport) -> ComponentReport | None:
-    """Flip the mirror-stability bit of the first stable segment, if any."""
-    for pos, comp in enumerate(report.components):
-        if not comp.is_cycle and comp.sigma_stable:
-            broken = replace(comp, sigma_stable=False)
-            components = report.components[:pos] + (broken,) + report.components[pos + 1 :]
-            return replace(report, components=components)
-    return None
-
-
-def check_index_methods(max_n: int = 6, inject_fault: bool = False) -> CheckResult:
+def check_index_methods(max_n: int = 6) -> CheckResult:
     """Graph count == case-by-case reduction == closed-form reduction."""
     name = "index-methods-agree"
     checked = 0
-    fault_armed = inject_fault
     for n in range(1, max_n + 1):
         for q in seaweed_pairs(n):
-            report = analyze(build_graph_c(q))
-            graph_index = index_c_from_report(report)
-            if fault_armed:
-                flipped = _flip_first_stable(report)
-                if flipped is not None:
-                    # The flipped count is odd, so round up instead of failing.
-                    graph_index = flipped.cycles + (flipped.loose_segments + 1) // 2
-                    fault_armed = False
+            graph_index = index_c(q)
             stepwise = reduction_chain(q).total_index
             closed = reduction_chain(q, closed_form=True).total_index
             if not graph_index == stepwise == closed:
@@ -212,8 +186,7 @@ def _check_single_arc_gl_index(census_max_n: int) -> CheckResult:
     checked = 0
     for n in range(1, census_max_n + 1):
         for q in frobenius_seaweeds(n, 1):
-            report = analyze(build_graph_a(symmetrize(q)))
-            if len(report.components) != 1 or index_a_from_report(report) != 1:
+            if index_a_gl(symmetrize(q)) != 1:
                 return _fail(name, "doubled graph is not a single segment", q)
             checked += 1
     return CheckResult(
@@ -258,8 +231,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
             if last not in (1, 2):
                 continue
             for bottom in comps:
-                report = analyze(build_graph_a(SeaweedA(top, bottom)))
-                if len(report.components) == 1 and report.cycles == 0:
+                if index_a_gl(SeaweedA(top, bottom)) == 1:
                     found[last] += 1
         row = frobenius_census(n)
         for k in (1, 2):
@@ -377,10 +349,9 @@ def run_all(
     census_max_n: int = 7,
     samples: int = 5,
     seed: int = 0,
-    inject_fault: bool = False,
 ) -> list[CheckResult]:
     results = [
-        check_index_methods(max_n, inject_fault=inject_fault),
+        check_index_methods(max_n),
         check_kirillov_oracle(oracle_max_n, samples=samples, seed=seed),
     ]
     results.extend(check_structure(census_max_n))

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandre.cli import main
 
@@ -195,14 +199,15 @@ def test_census_env_cap(capsys, monkeypatch):
     assert "MEANDRE_MAX_N" in err
 
 
-def test_default_caps_census_20_verify_12(capsys, monkeypatch):
+def test_default_caps_census_20_verify_8(capsys, monkeypatch):
     monkeypatch.delenv("MEANDRE_MAX_N", raising=False)
     code, out, _ = run(capsys, "census", "--n", "13")
     assert code == 0
     assert out.splitlines()[-1].split()[0] == "13"
     for argv, cap in (
         (("census", "--n", "21"), 20),
-        (("verify", "--max-n", "13"), 12),
+        (("verify", "--max-n", "9"), 8),
+        (("verify", "--census-max-n", "9"), 8),
         (("verify", "--oracle-max-n", "7"), 6),
     ):
         code, out, err = run(capsys, *argv)
@@ -238,13 +243,12 @@ def test_verify_passes_at_small_bounds(capsys):
     assert "verify: PASS" in out
 
 
-def test_verify_inject_fault_exits_1(capsys):
+def test_verify_inject_fault_exits_1(capsys, closed_form_fault):
     code, out, err = run(
-        capsys, "verify", "--max-n", "2", "--oracle-max-n", "1", "--census-max-n", "2",
-        "--inject-fault",
+        capsys, "verify", "--max-n", "2", "--oracle-max-n", "1", "--census-max-n", "2"
     )
     assert code == 1
-    assert "FAIL" in err
+    assert "FAIL (1 of 11 checks)" in err
     assert "n=1" in out  # the offending seaweed is named
 
 
@@ -252,3 +256,53 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])  # missing required --n
     assert exc.value.code == 2
+
+
+# Ranks up to 8 and composition tokens, malformed ones included.
+RANKS = st.integers(min_value=-1, max_value=8).map(str)
+TOKENS = st.sampled_from(["", "0", "-1", "1,,2", "x", "∅", "1.5"]) | st.lists(
+    st.integers(min_value=1, max_value=9), max_size=4
+).map(lambda parts: ",".join(map(str, parts)))
+# verify's bounds stay at most 2, so a passing run takes milliseconds.
+TINY = st.integers(min_value=-1, max_value=2).map(str)
+OPTIONS = {
+    "--json": st.just(None),
+    "--sl": st.just(None),
+    "--closed-form": st.just(None),
+    "--ordered": st.just(None),
+    "--format": st.sampled_from(["text", "json", "ascii", "dot"]),
+    "--max-width": st.integers(min_value=-1, max_value=40).map(str),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["index", "graph", "reduce", "census", "verify"]))
+    argv = [command]
+    if command == "census":
+        argv += ["--n", draw(RANKS)]
+    elif command == "verify":
+        for flag in ("--max-n", "--oracle-max-n", "--census-max-n", "--samples"):
+            argv += [flag, draw(TINY)]
+    else:
+        argv += ["--series", draw(st.sampled_from("CBA"))]
+        if draw(st.booleans()):
+            argv += ["--n", draw(RANKS)]
+        argv += ["--top", draw(TOKENS), "--bottom", draw(TOKENS)]
+    for flag in draw(st.lists(st.sampled_from(sorted(OPTIONS)), max_size=2, unique=True)):
+        value = draw(OPTIONS[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_exit_code_contract(argv):
+    """Any argv exits 0 or 2 (argparse's usage errors included), never a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 2), argv

@@ -5,7 +5,9 @@ import pytest
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.enumeration import seaweed_pairs
 from meandre.meander import (
+    Component,
     ComponentKind,
+    ComponentReport,
     MeanderGraph,
     analyze,
     build_graph_a,
@@ -99,6 +101,15 @@ def test_double_arc_on_a_vertex_rejected():
 def test_out_of_range_arc_rejected():
     with pytest.raises(ValueError, match="out of range"):
         MeanderGraph(3, ((1, 4),), ())
+
+
+def test_symmetric_report_index_needs_paired_loose_segments():
+    left = Component((1,), ComponentKind.SEGMENT, sigma_stable=False)
+    right = Component((2,), ComponentKind.SEGMENT, sigma_stable=False)
+    assert ComponentReport((left,)).index == 1  # plain graph: 2*cycles + segments
+    assert ComponentReport((left, right), symmetric=True).index == 1
+    with pytest.raises(AssertionError, match="must come in pairs; got 1"):
+        ComponentReport((left,), symmetric=True).index
 
 
 def test_asymmetric_graph_rejected_when_flagged():

@@ -36,11 +36,13 @@ def test_structure_suite_passes_at_small_bounds():
     assert all(r.passed for r in results)
 
 
-def test_fault_injection_is_caught_and_named():
-    result = check_index_methods(2, inject_fault=True)
+def test_fault_injection_is_caught_and_named(closed_form_fault):
+    result = check_index_methods(2)
     assert not result.passed
     assert result.counterexample is not None
     assert "n=1" in result.counterexample
+    results = run_all(max_n=2, oracle_max_n=1, census_max_n=2)
+    assert [r.name for r in results if not r.passed] == ["index-methods-agree"]
 
 
 def test_run_all_shape():
