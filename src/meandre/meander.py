@@ -115,15 +115,20 @@ class ComponentReport:
     def index(self) -> int:
         """The graph-route index: 2*cycles + segments for a plain (gl) graph,
         cycles + (segments not fixed by the mirror)/2 for a symmetric one."""
+        cycles = loose = 0  # a plain graph has no mirror: every segment is loose
+        for c in self.components:
+            if c.is_cycle:
+                cycles += 1
+            elif not (self.symmetric and c.sigma_stable):
+                loose += 1
         if not self.symmetric:
-            return 2 * self.cycles + self.segments
-        loose = self.loose_segments
+            return 2 * cycles + loose
         if loose % 2:
             raise AssertionError(
                 "segments not fixed by the mirror must come in pairs; "
                 f"got {loose} of them"
             )
-        return self.cycles + loose // 2
+        return cycles + loose // 2
 
 
 def _arcs_for(comp: Composition) -> tuple[Arc, ...]:

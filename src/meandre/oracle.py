@@ -24,13 +24,17 @@ anti-transpose, and each orbit {(i,j), (2n+1-j, 2n+1-i)} contributes one
 basis element (a lone E_ij on the antidiagonal, E_ij - eps(i)eps(j) E_j*i*
 otherwise).  Brackets of basis elements are expanded by reading entries at
 the representative positions, with a reconstruction check that the span is
-closed.  Ranks use fraction-free (Bareiss) elimination over the integers.
+closed.  Every Kirillov form is alternating, so its rank is computed by a
+fraction-free Pfaffian elimination over the integers (`integer_rank`): two
+indices leave per pivot, only the upper triangle is updated, and the entries
+stay Pfaffians, which keeps every division exact.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import neg
 from typing import Mapping, Sequence
 
 from .composition import Composition, SeaweedC, symmetrize
@@ -108,12 +112,21 @@ def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> Mat
     for entries in elements:
         _check_sp_membership(entries, size, eps)
 
+    # [x_u, x_v] = 0 unless x_u x_v != 0, because y x = D (x y)^ D in sp(2n)
+    # with D = diag(eps).  So only the pairs where an entry (i, j) of x_u
+    # meets an entry (j, l) of x_v are expanded.
+    in_row: list[set[int]] = [set() for _ in range(size)]
+    for k, entries in enumerate(elements):
+        for i, _, _ in entries:
+            in_row[i].add(k)
+
     rep_of = {pos: k for k, pos in enumerate(rep_positions)}
     structure: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    dim = len(elements)
-    for u in range(dim):
-        for v in range(u + 1, dim):
-            bracket = _sparse_bracket(elements[u], elements[v])
+    for u, x in enumerate(elements):
+        for v in sorted(set().union(*(in_row[j] for _, j, _ in x))):
+            if v <= u:
+                continue
+            bracket = _sparse_bracket(x, elements[v])
             if not bracket:
                 continue
             coeffs = _expand(bracket, rep_of, elements)
@@ -162,34 +175,51 @@ def _expand(
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    """Rank over the rationals of an alternating integer matrix.
+
+    Pfaffian elimination: pivot on the first live index i and the first
+    live j with a = A[i][j] != 0 (an index whose row is zero is dropped,
+    since its column is zero too), remove both and update the upper
+    triangle of the rest by
+
+        A[k][l] <- (a*A[k][l] - A[i][k]*A[j][l] + A[j][k]*A[i][l]) // prev,
+
+    then set prev = a and add 2 to the rank.  After t pivots each entry is
+    the Pfaffian of the principal submatrix on the 2t pivot indices and k, l;
+    the Pfaffian form of Sylvester's identity says the numerator above is
+    that Pfaffian times prev, so every division is exact.  Raises ValueError
+    unless the input is square and alternating.
+    """
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    ncols = len(m[0])
+    if any(len(row) != len(m) for row in m) or any(
+        row != list(map(neg, col)) for row, col in zip(m, zip(*m))
+    ):
+        raise ValueError("integer_rank needs a square alternating matrix")
+    # upper[s] is the part of row k = len(m)-1-s right of the diagonal, listed
+    # from the last column down; the head (first live index) is upper[-1], and
+    # zip() aligns any row with the pivot rows without slicing.
+    upper = [m[k][:k:-1] for k in range(len(m) - 1, -1, -1)]
     rank = 0
     prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
+    while len(upper) > 1:
+        head = upper.pop()
+        t = len(head) - 1  # position of the first live column j
+        while t >= 0 and not head[t]:
+            t -= 1
+        if t < 0:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot_row = m[rank]
-        pivot = pivot_row[col]
-        for r in range(rank + 1, len(m)):
-            row = m[r]
-            factor = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (pivot * row[c] - factor * pivot_row[c]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == len(m):
-            break
+        a = head[t]
+        at_i = head[:t] + head[t + 1 :]
+        at_j = upper[t] + [-row[t] for row in upper[t + 1 :]]
+        left = upper[:t] + [row[:t] + row[t + 1 :] for row in upper[t + 1 :]]
+        upper = [
+            [(a * x - ik * jl + jk * il) // prev for x, il, jl in zip(row, at_i, at_j)]
+            if ik or jk
+            else [a * x // prev for x in row]
+            for row, ik, jk in zip(left, at_i, at_j)
+        ]
+        prev = a
+        rank += 2
     return rank
 
 

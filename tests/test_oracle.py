@@ -28,24 +28,101 @@ def fraction_rank(rows):
     return rank
 
 
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.data(),
-)
-@settings(max_examples=120)
-def test_integer_rank_matches_fraction_elimination(nrows, ncols, data):
-    rows = [
-        [data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(ncols)]
-        for _ in range(nrows)
+def _mirrored(upper):
+    """The alternating matrix with the given strict upper triangle."""
+    d = len(upper)
+    return [
+        [upper[i][j] if i < j else -upper[j][i] if j < i else 0 for j in range(d)]
+        for i in range(d)
     ]
+
+
+@st.composite
+def alternating_matrices(draw):
+    d = draw(st.integers(min_value=0, max_value=8))
+    kind = draw(st.sampled_from(["triangle", "wedges", "zero"]))
+    if kind == "triangle":
+        upper = [[draw(st.integers(-9, 9)) if j > i else 0 for j in range(d)] for i in range(d)]
+    elif kind == "wedges":
+        # a sum of r terms u ^ v has rank at most 2r
+        upper = [[0] * d for _ in range(d)]
+        for _ in range(draw(st.integers(min_value=0, max_value=max(d // 2 - 1, 0)))):
+            u = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+            v = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+            for i in range(d):
+                for j in range(i + 1, d):
+                    upper[i][j] += u[i] * v[j] - u[j] * v[i]
+    else:
+        upper = [[0] * d for _ in range(d)]
+    if draw(st.booleans()):  # sparsify
+        keep = draw(st.lists(st.booleans(), min_size=d * d, max_size=d * d))
+        upper = [[x if keep[i * d + j] else 0 for j, x in enumerate(row)] for i, row in enumerate(upper)]
+    return _mirrored(upper)
+
+
+@given(alternating_matrices())
+@settings(max_examples=300)
+def test_integer_rank_matches_fraction_elimination(rows):
     assert integer_rank(rows) == fraction_rank(rows)
 
 
 def test_integer_rank_degenerate_cases():
     assert integer_rank([]) == 0
+    assert integer_rank([[0]]) == 0
     assert integer_rank([[0, 0], [0, 0]]) == 0
-    assert integer_rank([[2, 4], [1, 2]]) == 1
+    assert integer_rank([[0, 3], [-3, 0]]) == 2
+    # (1, 2, 0, 1) ^ (0, 1, 1, 3)
+    assert integer_rank([[0, 1, 1, 3], [-1, 0, 2, 5], [-1, -2, 0, -1], [-3, -5, 1, 0]]) == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1]],  # not square
+        [[0, 1], [-1]],  # ragged
+        [[1]],  # nonzero diagonal
+        [[0, 1], [1, 0]],  # symmetric
+        [[2, 4], [1, 2]],
+    ],
+)
+def test_integer_rank_rejects_non_alternating_input(rows):
+    with pytest.raises(ValueError, match="alternating"):
+        integer_rank(rows)
+
+
+def _dense(entries, size):
+    mat = [[0] * size for _ in range(size)]
+    for i, j, v in entries:
+        mat[i][j] = v
+    return mat
+
+
+def _commutator(x, y):
+    size = len(x)
+    return [
+        [sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in range(size)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def test_structure_table_matches_dense_commutators_to_rank_3():
+    for n in range(0, 4):
+        for q in seaweed_pairs(n):
+            basis = build_seaweed_matrices(q)
+            size = 2 * n
+            dense = [_dense(entries, size) for entries in basis.elements]
+            # each element is 1 at the first position it lists, which no other element touches
+            reps = [entries[0][:2] for entries in basis.elements]
+            for u in range(basis.dimension):
+                for v in range(u + 1, basis.dimension):
+                    bracket = _commutator(dense[u], dense[v])
+                    expected = {w: bracket[i][j] for w, (i, j) in enumerate(reps) if bracket[i][j]}
+                    assert dict(basis.structure.get((u, v), ())) == expected, (q, u, v)
+                    rebuilt = [[0] * size for _ in range(size)]
+                    for w, c in expected.items():
+                        for i, j, val in basis.elements[w]:
+                            rebuilt[i][j] += c * val
+                    assert rebuilt == bracket, (q, u, v)
 
 
 def test_dimensions():
