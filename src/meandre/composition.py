@@ -173,17 +173,17 @@ def make_seaweed_c(rank: int, top, bottom, series: Series = Series.SP) -> Seawee
     return SeaweedC(rank, _as_composition(top), _as_composition(bottom), series)
 
 
-def symmetrize(q: SeaweedC) -> SeaweedA:
-    """Double a type-C descriptor to its mirror-symmetric gl(2n) descriptor.
-
-    Each side (c1,...,cs) with defect d becomes (c1,...,cs,2d,cs,...,c1);
-    the middle part 2d is dropped when d = 0.
+def doubled(side: Composition, defect: int) -> Composition:
+    """One side of a type-C descriptor, doubled: (c1,...,cs) with defect d
+    becomes (c1,...,cs,2d,cs,...,c1); the middle part 2d is dropped when d = 0.
     """
+    middle = (2 * defect,) if defect else ()
+    return Composition(side.parts + middle + side.parts[::-1])
 
-    def doubled(side: Composition, defect: int) -> Composition:
-        middle = (2 * defect,) if defect else ()
-        return Composition(side.parts + middle + tuple(reversed(side.parts)))
 
+def symmetrize(q: SeaweedC) -> SeaweedA:
+    """Double a type-C descriptor to its mirror-symmetric gl(2n) descriptor,
+    each side by `doubled`."""
     return SeaweedA(doubled(q.top, q.top_defect), doubled(q.bottom, q.bottom_defect))
 
 

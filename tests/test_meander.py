@@ -1,9 +1,14 @@
+import gc
+import random
+import weakref
 from collections import Counter
 
 import pytest
 
+import meandre.meander as meander
 from meandre import make_seaweed_a, make_seaweed_c
-from meandre.enumeration import seaweed_pairs
+from meandre.composition import Composition, SeaweedA, SeaweedC
+from meandre.enumeration import compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
     ComponentKind,
@@ -26,6 +31,63 @@ def central_arcs(g: MeanderGraph) -> tuple[int, int]:
 def degrees(g: MeanderGraph) -> Counter:
     """Arcs at each vertex over both sides; vertices on no arc read 0."""
     return Counter(v for arc in g.top_arcs + g.bottom_arcs for v in arc)
+
+
+def _ray(start: int, first: dict[int, int], second: dict[int, int]) -> tuple[list[int], bool]:
+    """Walk from `start` alternating the two arc maps, `first` map first; the
+    vertices after `start` and whether the walk closed back onto `start`."""
+    path: list[int] = []
+    maps = (first, second)
+    cur = start
+    step = 0
+    while True:
+        nxt = maps[step % 2].get(cur)
+        if nxt is None:
+            return path, False
+        if nxt == start:
+            return path, True
+        path.append(nxt)
+        cur = nxt
+        step += 1
+
+
+def reference_analyze(g: MeanderGraph) -> ComponentReport:
+    """`analyze` by arc dicts and vertex sets: the walk the partner arrays
+    replace, kept as the reference they are checked against."""
+    n = g.vertex_count
+    top: dict[int, int] = {}
+    bottom: dict[int, int] = {}
+    for i, j in g.top_arcs:
+        top[i] = j
+        top[j] = i
+    for i, j in g.bottom_arcs:
+        bottom[i] = j
+        bottom[j] = i
+    mirror = n + 1
+    seen: set[int] = set()
+    comps: list[Component] = []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        forward, closed = _ray(start, top, bottom)
+        if closed:
+            vertices = (start, *forward)
+        else:
+            backward, _ = _ray(start, bottom, top)
+            vertices = (*reversed(backward), start, *forward)
+        seen.update(vertices)
+        stable = g.symmetric and set(vertices) == {mirror - v for v in vertices}
+        kind = ComponentKind.CYCLE if closed else ComponentKind.SEGMENT
+        comps.append(Component(vertices, kind, stable))
+    return ComponentReport(tuple(comps), g.symmetric)
+
+
+def random_composition(rng: random.Random, total: int) -> Composition:
+    parts = []
+    while total:
+        parts.append(rng.randint(1, total))
+        total -= parts[-1]
+    return Composition(tuple(parts))
 
 
 def test_build_graph_a_nine_vertex_example():
@@ -88,19 +150,122 @@ def test_analyze_orders_components_by_smallest_vertex():
     assert firsts == sorted(firsts)
 
 
+def test_analyze_matches_reference_on_every_sp_descriptor_to_rank_6():
+    for n in range(0, 7):
+        for q in seaweed_pairs(n):
+            g = build_graph_c(q)
+            assert analyze(g) == reference_analyze(g), q
+
+
+def test_analyze_matches_reference_on_every_gl_pair_to_size_8():
+    for size in range(1, 9):
+        comps = list(compositions_of(size))
+        for top in comps:
+            for bottom in comps:
+                g = build_graph_a(SeaweedA(top, bottom))
+                assert analyze(g) == reference_analyze(g), (top, bottom)
+
+
+def test_analyze_matches_reference_on_random_descriptors_to_rank_200():
+    rng = random.Random(2016)
+    for _ in range(1000):  # one sp and one gl descriptor each
+        n = rng.randint(1, 200)
+        top = random_composition(rng, rng.randint(0, n))
+        bottom = random_composition(rng, rng.randint(0, n))
+        g = build_graph_c(SeaweedC(n, top, bottom))
+        assert analyze(g) == reference_analyze(g), (n, top, bottom)
+        size = rng.randint(1, 200)
+        top, bottom = random_composition(rng, size), random_composition(rng, size)
+        g = build_graph_a(SeaweedA(top, bottom))
+        assert analyze(g) == reference_analyze(g), (top, bottom)
+
+
+def test_builder_graph_equals_public_graph():
+    for build, q in (
+        (build_graph_c, make_seaweed_c(7, "2,3", "")),
+        (build_graph_c, make_seaweed_c(8, "3,4", "5,3")),
+        (build_graph_a, make_seaweed_a("5,2,2", "2,4,3")),
+    ):
+        built = build(q)
+        public = MeanderGraph(
+            built.vertex_count,
+            built.top_arcs[::-1],  # the constructor sorts
+            list(built.bottom_arcs),
+            symmetric=built.symmetric,
+        )
+        assert built == public
+        assert hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        assert built.top_partner == public.top_partner
+        assert built.bottom_partner == public.bottom_partner
+        assert analyze(built) == analyze(public)
+
+
+def test_builders_check_each_side_once_while_its_composition_lives(monkeypatch):
+    # A fresh, empty memo of the module's own kind, so every side is new.
+    sides = type(meander._SIDES)()
+    monkeypatch.setattr(meander, "_SIDES", sides)
+    checked = []
+    real = meander._check_side
+
+    def counting(name, arcs, n):
+        checked.append(n)
+        return real(name, arcs, n)
+
+    monkeypatch.setattr(meander, "_check_side", counting)
+    pairs = list(seaweed_pairs(5))
+    graphs = [build_graph_c(q) for q in pairs]
+    distinct = {(c.parts, q.rank - c.total) for q in pairs for c in (q.top, q.bottom)}
+    assert len(checked) == len(distinct) == 32 < 2 * len(pairs)
+    reports = [analyze(g) for g in graphs]
+    alive = [weakref.ref(c) for c in sides]
+    del pairs
+    gc.collect()
+    assert len(sides) == 0
+    assert all(ref() is None for ref in alive)
+    # The graphs keep their own sides.
+    assert [analyze(g) for g in graphs] == reports
+
+
 def test_crossing_arcs_rejected():
-    with pytest.raises(ValueError, match="crosses"):
+    with pytest.raises(ValueError, match="top_arcs arc \\(2, 4\\) crosses"):
         MeanderGraph(4, ((1, 3), (2, 4)), ())
+    with pytest.raises(ValueError, match="bottom_arcs arc \\(2, 4\\) crosses"):
+        MeanderGraph(4, ((1, 4),), ((1, 3), (2, 4)))
 
 
 def test_double_arc_on_a_vertex_rejected():
-    with pytest.raises(ValueError, match="two top"):
+    with pytest.raises(ValueError, match="vertex 3 lies on two top_arcs"):
         MeanderGraph(4, ((1, 3), (3, 4)), ())
+    with pytest.raises(ValueError, match="vertex 3 lies on two bottom_arcs"):
+        MeanderGraph(4, ((1, 2),), ((1, 3), (3, 4)))
 
 
 def test_out_of_range_arc_rejected():
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="top_arcs arc \\(1, 4\\) out of range"):
         MeanderGraph(3, ((1, 4),), ())
+    with pytest.raises(ValueError, match="bottom_arcs arc \\(0, 2\\) out of range"):
+        MeanderGraph(3, ((1, 3),), ((0, 2),))
+
+
+def test_float_endpoint_rejected():
+    with pytest.raises(ValueError, match="top_arcs arc \\(1.5, 4\\) has a non-integer"):
+        MeanderGraph(4, [(1.5, 4)], [])
+
+
+def test_string_endpoint_rejected():
+    with pytest.raises(ValueError, match="bottom_arcs arc \\('1', 4\\) has a non-integer"):
+        MeanderGraph(4, [], [("1", 4)])
+
+
+def test_bool_endpoint_rejected():
+    with pytest.raises(ValueError, match="top_arcs arc \\(True, 2\\) has a non-integer"):
+        MeanderGraph(2, [(True, 2)], [])
+
+
+def test_bool_vertex_count_rejected():
+    with pytest.raises(ValueError, match="vertex count"):
+        MeanderGraph(True, (), ())
 
 
 def test_symmetric_report_index_needs_paired_loose_segments():
@@ -113,8 +278,15 @@ def test_symmetric_report_index_needs_paired_loose_segments():
 
 
 def test_asymmetric_graph_rejected_when_flagged():
-    with pytest.raises(ValueError, match="not symmetric"):
+    with pytest.raises(ValueError, match="top_arcs are not symmetric under v -> 5-v"):
         MeanderGraph(4, ((1, 2),), (), symmetric=True)
+    with pytest.raises(ValueError, match="bottom_arcs are not symmetric under v -> 5-v"):
+        MeanderGraph(4, ((1, 4),), ((1, 2),), symmetric=True)
+
+
+def test_range_checks_on_both_sides_run_before_the_mirror_check():
+    with pytest.raises(ValueError, match="bottom_arcs arc \\(1, 5\\) out of range"):
+        MeanderGraph(4, ((1, 2),), ((1, 5),), symmetric=True)
 
 
 def test_symmetric_invariants_exhaustive():
