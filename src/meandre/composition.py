@@ -173,18 +173,22 @@ def make_seaweed_c(rank: int, top, bottom, series: Series = Series.SP) -> Seawee
     return SeaweedC(rank, _as_composition(top), _as_composition(bottom), series)
 
 
-def doubled(side: Composition, defect: int) -> Composition:
-    """One side of a type-C descriptor, doubled: (c1,...,cs) with defect d
-    becomes (c1,...,cs,2d,cs,...,c1); the middle part 2d is dropped when d = 0.
+def doubled(side: Composition, defect: int) -> tuple[int, ...]:
+    """The parts of one side of a type-C descriptor, doubled: (c1,...,cs)
+    with defect d becomes (c1,...,cs,2d,cs,...,c1); the middle part 2d is
+    dropped when d = 0.
     """
     middle = (2 * defect,) if defect else ()
-    return Composition(side.parts + middle + side.parts[::-1])
+    return side.parts + middle + side.parts[::-1]
 
 
 def symmetrize(q: SeaweedC) -> SeaweedA:
     """Double a type-C descriptor to its mirror-symmetric gl(2n) descriptor,
     each side by `doubled`."""
-    return SeaweedA(doubled(q.top, q.top_defect), doubled(q.bottom, q.bottom_defect))
+    return SeaweedA(
+        Composition(doubled(q.top, q.top_defect)),
+        Composition(doubled(q.bottom, q.bottom_defect)),
+    )
 
 
 def canonical_pair(q: SeaweedC) -> SeaweedC:

@@ -87,11 +87,13 @@ class CensusRow:
 @lru_cache(maxsize=None)
 def _frobenius_by_k(n: int) -> tuple[tuple[SeaweedC, ...], ...]:
     groups: list[tuple[SeaweedC, ...]] = []
+    fulls = list(compositions_of(n))
     for k in range(1, n + 1):
+        deficients = list(compositions_of(n - k))
         found = [
             canonical_pair(q)
-            for full in compositions_of(n)
-            for deficient in compositions_of(n - k)
+            for full in fulls
+            for deficient in deficients
             if index_c(q := SeaweedC(n, deficient, full)) == 0
         ]
         groups.append(tuple(found))

@@ -4,14 +4,15 @@ The JSON form is the interchange format: fixed key order {type, n, top,
 bottom, vertices, top_arcs, bottom_arcs, components, index}, 1-based
 vertices, arcs as two-element arrays.  Loading recomputes everything from
 the descriptor and rejects files whose embedded graph, components or index
-disagree.  The ASCII and DOT renderers draw arcs above/below a vertex row;
-for symmetric graphs the centre line is marked.
+disagree, in value or in JSON type.  The ASCII and DOT renderers draw arcs
+above/below a vertex row; for symmetric graphs the centre line is marked.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .composition import SeaweedA, SeaweedC, Series, parse_composition
 from .enumeration import CensusRow
@@ -78,6 +79,24 @@ def _payload(doc: GraphDocument) -> dict:
     }
 
 
+def _json_types_match(data: dict) -> bool:
+    """Whether a document equal to its payload also has the payload's JSON
+    types: `==` takes true and 1.0 for 1, JSON does not.  Every number of a
+    payload is an int and every `sigma_stable` a bool."""
+    comps = data["components"]
+    numbers = [
+        data["n"],
+        data["vertices"],
+        data["index"],
+        *chain.from_iterable(data["top_arcs"]),
+        *chain.from_iterable(data["bottom_arcs"]),
+        *chain.from_iterable(c["vertices"] for c in comps),
+    ]
+    return set(map(type, numbers)) == {int} and all(
+        type(c["sigma_stable"]) is bool for c in comps
+    )
+
+
 def to_json(doc: GraphDocument) -> str:
     """Canonical single-line JSON; byte-stable across runs."""
     return json.dumps(_payload(doc), ensure_ascii=False, separators=(",", ":"))
@@ -105,7 +124,7 @@ def from_json(text: str) -> GraphDocument:
     except (TypeError, AttributeError) as bad:
         raise ValueError(f"malformed document field: {bad}") from None
     doc = document(descriptor)
-    if _payload(doc) != data:
+    if _payload(doc) != data or not _json_types_match(data):
         raise ValueError(
             "document content does not match its descriptor (tampered or stale file)"
         )
@@ -144,10 +163,9 @@ _MIRROR = "|"
 def _height(arc: Arc) -> int:
     """Row of an arc above (or below) the vertex row: half its span, rounded up.
 
-    The arcs of one composition part nest with no gaps, so this is their
-    nesting height, innermost next to the vertex row.  Any non-crossing
-    system still draws without overlap: an enclosing arc's span exceeds
-    that of every arc inside it by at least 2, so it sits strictly higher.
+    Every arc comes from one composition part, whose arcs nest with no gaps,
+    so this is their nesting height, innermost next to the vertex row; arcs
+    of different parts lie over disjoint columns.
     """
     i, j = arc
     return (j - i + 1) // 2
@@ -165,8 +183,9 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
             f"drawing needs {width} columns (limit {max_width}); "
             "use the dot renderer for graphs this wide"
         )
-    rows_top = max(map(_height, g.top_arcs), default=0)
-    rows_bottom = max(map(_height, g.bottom_arcs), default=0)
+    top_arcs, bottom_arcs = g.top_arcs, g.bottom_arcs
+    rows_top = max(map(_height, top_arcs), default=0)
+    rows_bottom = max(map(_height, bottom_arcs), default=0)
     pad = 1 if g.symmetric else 0  # extra rows so the centre line shows
     vrow = pad + rows_top
     grid = [[" "] * width for _ in range(rows_top + rows_bottom + 1 + 2 * pad)]
@@ -176,7 +195,7 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
 
     for v in range(1, n + 1):
         grid[vrow][col(v)] = "*"
-    for i, j in g.top_arcs:
+    for i, j in top_arcs:
         row = vrow - _height((i, j))
         grid[row][col(i)] = _TOP_CORNERS[0]
         grid[row][col(j)] = _TOP_CORNERS[1]
@@ -185,7 +204,7 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
         for r in range(row + 1, vrow):
             grid[r][col(i)] = "│"
             grid[r][col(j)] = "│"
-    for i, j in g.bottom_arcs:
+    for i, j in bottom_arcs:
         row = vrow + _height((i, j))
         grid[row][col(i)] = _BOTTOM_CORNERS[0]
         grid[row][col(j)] = _BOTTOM_CORNERS[1]

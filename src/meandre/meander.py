@@ -10,20 +10,19 @@ Graphs built from type-C descriptors have 2n vertices and are symmetric
 under the reflection v -> 2n+1-v; the arcs crossing the centre line are the
 "central" arcs and there are exactly d of them on top and d' below.
 
-Each side is checked once, into a partner array: partner[v] is the other
-end of v's arc on that side, 0 if v has none.  `analyze` walks the two
-arrays.  The builders check each side of a live `Composition` once (for
-type C, once per defect) and reuse it until the composition is freed, so a
-scan over all pairs checks each of its sides once, not once per pair.
+A graph is made only from compositions (`build_graph_a`, `build_graph_c`),
+so its arcs are in range, non-crossing and, for type C, mirror-symmetric by
+construction; nothing re-checks them.  Each side is stored as a partner
+array, filled in one pass over the parts: partner[v] is the other end of
+v's arc on that side, 0 if v has none.  `analyze` walks the two arrays.
 """
 
 from __future__ import annotations
 
 import enum
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .composition import Composition, SeaweedA, SeaweedC, doubled
+from .composition import SeaweedA, SeaweedC, doubled
 
 Arc = tuple[int, int]
 Partner = tuple[int, ...]
@@ -36,93 +35,38 @@ class ComponentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MeanderGraph:
-    """Vertices 1..vertex_count with non-crossing arc systems on both sides.
-
-    `top_partner` and `bottom_partner` are the sides' partner arrays, derived
-    from the arcs.
-    """
+    """Vertices 1..vertex_count with one partner array per side (index 0
+    unused); `symmetric` marks a doubled type-C graph."""
 
     vertex_count: int
-    top_arcs: tuple[Arc, ...]
-    bottom_arcs: tuple[Arc, ...]
+    top_partner: Partner
+    bottom_partner: Partner
     symmetric: bool = False
-    top_partner: Partner = field(init=False, repr=False, compare=False)
-    bottom_partner: Partner = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n!r}")
-        top = _check_side("top_arcs", self.top_arcs, n)
-        bottom = _check_side("bottom_arcs", self.bottom_arcs, n)
-        if self.symmetric:
-            _check_mirror("top_arcs", top[1])
-            _check_mirror("bottom_arcs", bottom[1])
-        self._set_sides(top, bottom)
+    @property
+    def top_arcs(self) -> tuple[Arc, ...]:
+        return _arcs(self.top_partner)
 
-    @classmethod
-    def _from_checked(
-        cls, n: int, top: _Side, bottom: _Side, symmetric: bool
-    ) -> MeanderGraph:
-        """The graph on sides that already passed `_check_side` (and
-        `_check_mirror` if symmetric)."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertex_count", n)
-        object.__setattr__(g, "symmetric", symmetric)
-        g._set_sides(top, bottom)
-        return g
-
-    def _set_sides(self, top: _Side, bottom: _Side) -> None:
-        object.__setattr__(self, "top_arcs", top[0])
-        object.__setattr__(self, "top_partner", top[1])
-        object.__setattr__(self, "bottom_arcs", bottom[0])
-        object.__setattr__(self, "bottom_partner", bottom[1])
+    @property
+    def bottom_arcs(self) -> tuple[Arc, ...]:
+        return _arcs(self.bottom_partner)
 
 
-_Side = tuple[tuple[Arc, ...], Partner]
+def _arcs(partner: Partner) -> tuple[Arc, ...]:
+    """The side's arcs (i, j), i < j, in ascending left endpoint."""
+    return tuple((i, j) for i, j in enumerate(partner) if i < j)
 
 
-def _int_arc(name: str, arc: tuple) -> Arc:
-    for v in arc:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{name} arc {arc!r} has a non-integer endpoint {v!r}")
-    return int(arc[0]), int(arc[1])
-
-
-def _check_side(name: str, arcs, n: int) -> _Side:
-    """Sort one side's arcs, check them against n vertices and return them
-    with their partner array."""
-    pairs = [(i, j) for i, j in arcs]
-    if not all(type(i) is int and type(j) is int for i, j in pairs):
-        pairs = [_int_arc(name, arc) for arc in pairs]
-    arcs = tuple(sorted(pairs))
-    partner = [0] * (n + 1)
-    for i, j in arcs:
-        if not (1 <= i < j <= n):
-            raise ValueError(f"{name} arc {(i, j)} out of range for {n} vertices")
-        if partner[i] or partner[j]:
-            v = i if partner[i] else j
-            raise ValueError(f"vertex {v} lies on two {name}")
-        partner[i] = j
-        partner[j] = i
-    # Non-crossing: sweep by left endpoint, keep the stack of open arcs.
-    stack: list[int] = []
-    for i, j in arcs:
-        while stack and stack[-1] < i:
-            stack.pop()
-        if stack and j > stack[-1]:
-            raise ValueError(f"{name} arc {(i, j)} crosses an enclosing arc")
-        stack.append(j)
-    return arcs, tuple(partner)
-
-
-def _check_mirror(name: str, partner: Partner) -> None:
-    """Reject a side that v -> m-v does not map onto itself (m = n + 1):
-    partner[m-v] must be m - partner[v], or 0 where partner[v] is."""
-    m = len(partner)
-    reflected = tuple(m - p if p else 0 for p in reversed(partner[1:]))
-    if reflected != partner[1:]:
-        raise ValueError(f"{name} are not symmetric under v -> {m}-v")
+def _partner(parts: tuple[int, ...]) -> Partner:
+    """The partner array of one side: within each part, v's arc ends at v's
+    mirror image in the part, and the middle vertex of an odd part has none."""
+    partner = [0]
+    for p in parts:
+        offset = len(partner) - 1
+        partner += range(offset + p, offset, -1)
+        if p % 2:
+            partner[offset + (p + 1) // 2] = 0
+    return tuple(partner)
 
 
 @dataclass(frozen=True)
@@ -186,56 +130,17 @@ class ComponentReport:
         return cycles + loose // 2
 
 
-def _arcs_for(comp: Composition) -> tuple[Arc, ...]:
-    arcs: list[Arc] = []
-    offset = 0
-    for p in comp.parts:
-        for i in range(1, p // 2 + 1):
-            arcs.append((offset + i, offset + p + 1 - i))
-        offset += p
-    return tuple(arcs)
-
-
-# Checked sides by composition, then by defect (None: the side as it
-# stands, for type A).  An entry lives as long as its composition.
-_SIDES: weakref.WeakKeyDictionary[Composition, dict[int | None, _Side]] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _side(comp: Composition, defect: int | None, name: str) -> _Side:
-    """The checked side of `comp` (doubled with `defect` unless None)."""
-    by_defect = _SIDES.get(comp)
-    if by_defect is None:
-        by_defect = _SIDES[comp] = {}
-    side = by_defect.get(defect)
-    if side is None:
-        if defect is None:
-            side = _check_side(name, _arcs_for(comp), comp.total)
-        else:
-            full = doubled(comp, defect)
-            side = _check_side(name, _arcs_for(full), full.total)
-            _check_mirror(name, side[1])
-        by_defect[defect] = side
-    return side
-
-
 def build_graph_a(q: SeaweedA) -> MeanderGraph:
     """Meander graph of a gl(N) seaweed: N vertices, arcs per composition part."""
-    return MeanderGraph._from_checked(
-        q.size,
-        _side(q.top, None, "top_arcs"),
-        _side(q.bottom, None, "bottom_arcs"),
-        symmetric=False,
-    )
+    return MeanderGraph(q.size, _partner(q.top.parts), _partner(q.bottom.parts))
 
 
 def build_graph_c(q: SeaweedC) -> MeanderGraph:
     """Meander graph of a type-C seaweed: the graph of its doubled descriptor."""
-    return MeanderGraph._from_checked(
+    return MeanderGraph(
         2 * q.rank,
-        _side(q.top, q.top_defect, "top_arcs"),
-        _side(q.bottom, q.bottom_defect, "bottom_arcs"),
+        _partner(doubled(q.top, q.top_defect)),
+        _partner(doubled(q.bottom, q.bottom_defect)),
         symmetric=True,
     )
 

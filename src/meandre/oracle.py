@@ -24,17 +24,17 @@ anti-transpose, and each orbit {(i,j), (2n+1-j, 2n+1-i)} contributes one
 basis element (a lone E_ij on the antidiagonal, E_ij - eps(i)eps(j) E_j*i*
 otherwise).  Brackets of basis elements are expanded by reading entries at
 the representative positions, with a reconstruction check that the span is
-closed.  Every Kirillov form is alternating, so its rank is computed by a
-fraction-free Pfaffian elimination over the integers (`integer_rank`): two
-indices leave per pivot, only the upper triangle is updated, and the entries
-stay Pfaffians, which keeps every division exact.
+closed.  Every Kirillov form is alternating, so only its strict upper
+triangle is written, and its rank is computed by a fraction-free Pfaffian
+elimination over the integers (`integer_rank`): two indices leave per pivot,
+only the upper triangle is updated, and the entries stay Pfaffians, which
+keeps every division exact.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import neg
 from typing import Mapping, Sequence
 
 from .composition import Composition, SeaweedC, symmetrize
@@ -174,8 +174,9 @@ def _expand(
     return tuple(coeffs)
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an alternating integer matrix.
+def integer_rank(upper: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an alternating integer matrix A, given by
+    its strict upper triangle: upper[k] is A[k][k+1:].
 
     Pfaffian elimination: pivot on the first live index i and the first
     live j with a = A[i][j] != 0 (an index whose row is zero is dropped,
@@ -188,17 +189,15 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     the Pfaffian of the principal submatrix on the 2t pivot indices and k, l;
     the Pfaffian form of Sylvester's identity says the numerator above is
     that Pfaffian times prev, so every division is exact.  Raises ValueError
-    unless the input is square and alternating.
+    unless every upper[k] has length len(upper) - 1 - k.
     """
-    m = [list(r) for r in rows]
-    if any(len(row) != len(m) for row in m) or any(
-        row != list(map(neg, col)) for row, col in zip(m, zip(*m))
-    ):
-        raise ValueError("integer_rank needs a square alternating matrix")
-    # upper[s] is the part of row k = len(m)-1-s right of the diagonal, listed
-    # from the last column down; the head (first live index) is upper[-1], and
-    # zip() aligns any row with the pivot rows without slicing.
-    upper = [m[k][:k:-1] for k in range(len(m) - 1, -1, -1)]
+    dim = len(upper)
+    if any(len(row) != dim - 1 - k for k, row in enumerate(upper)):
+        raise ValueError("integer_rank needs upper[k] to hold len(upper) - 1 - k entries")
+    # Work list: the rows from the last one up, each listed from the last
+    # column down; the head (first live index) is upper[-1], and zip()
+    # aligns any row with the pivot rows without slicing.
+    upper = [list(reversed(row)) for row in reversed(upper)]
     rank = 0
     prev = 1
     while len(upper) > 1:
@@ -245,11 +244,9 @@ def index_oracle(
     best = 0
     for _ in range(samples):
         coords = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(dim)]
-        form = [[0] * dim for _ in range(dim)]
+        form = [[0] * (dim - 1 - u) for u in range(dim)]  # strict upper triangle
         for (u, v), terms in basis.structure.items():
-            value = sum(c * coords[w] for w, c in terms)
-            form[u][v] = value
-            form[v][u] = -value
+            form[u][v - u - 1] = sum(c * coords[w] for w, c in terms)
         best = max(best, integer_rank(form))
         if best == full:
             break

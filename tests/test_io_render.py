@@ -84,6 +84,39 @@ def test_tampered_index_rejected():
         from_json(json.dumps(data))
 
 
+def _borel_payload() -> dict:
+    return json.loads(to_json(document(make_seaweed_c(1, "", "1"))))
+
+
+def test_boolean_rank_rejected():
+    data = _borel_payload()
+    data["n"] = True  # equal to 1 in Python, not in JSON
+    with pytest.raises(ValueError, match="tampered|match"):
+        from_json(json.dumps(data))
+
+
+def test_float_counts_rejected():
+    for key, value in (("vertices", 2.0), ("index", 0.0)):
+        data = _borel_payload()
+        data[key] = value
+        with pytest.raises(ValueError, match="tampered|match"):
+            from_json(json.dumps(data))
+
+
+def test_integer_sigma_stable_rejected():
+    data = _borel_payload()
+    assert data["components"][0]["sigma_stable"] is True
+    data["components"][0]["sigma_stable"] = 1
+    with pytest.raises(ValueError, match="tampered|match"):
+        from_json(json.dumps(data))
+
+
+def test_key_order_is_free():
+    data = _borel_payload()
+    reordered = dict(reversed(list(data.items())))
+    assert from_json(json.dumps(reordered)).index == 0
+
+
 def test_tampered_arcs_rejected():
     data = json.loads(to_json(document(make_seaweed_c(4, "2,2", "1,2"))))
     data["top_arcs"][0] = [1, 4]

@@ -1,11 +1,8 @@
-import gc
 import random
-import weakref
 from collections import Counter
 
 import pytest
 
-import meandre.meander as meander
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.composition import Composition, SeaweedA, SeaweedC
 from meandre.enumeration import compositions_of, seaweed_pairs
@@ -31,6 +28,32 @@ def central_arcs(g: MeanderGraph) -> tuple[int, int]:
 def degrees(g: MeanderGraph) -> Counter:
     """Arcs at each vertex over both sides; vertices on no arc read 0."""
     return Counter(v for arc in g.top_arcs + g.bottom_arcs for v in arc)
+
+
+def assert_valid_meander_graph(g: MeanderGraph) -> None:
+    """What the builders guarantee by construction, read from the partner
+    arrays and the arcs they give: every arc in range, the partner arrays
+    consistent, at most one arc per vertex and side, no two arcs of a side
+    crossing, and both sides mirror-symmetric if the graph is flagged so."""
+    n = g.vertex_count
+    for partner, arcs in ((g.top_partner, g.top_arcs), (g.bottom_partner, g.bottom_arcs)):
+        assert len(partner) == n + 1 and partner[0] == 0, "partner array of the wrong shape"
+        for i, j in arcs:
+            assert 1 <= i < j <= n, f"arc {(i, j)} out of range"
+        ends = Counter(v for arc in arcs for v in arc)
+        assert all(c == 1 for c in ends.values()), "a vertex lies on two arcs of a side"
+        for v in range(1, n + 1):
+            w = partner[v]
+            assert 0 <= w <= n and w != v, f"partner of {v} out of range"
+            assert not w or partner[w] == v, f"partner of {v} inconsistent"
+        for i, j in arcs:
+            for k, l in arcs:
+                assert not i < k < j < l, f"arcs {(i, j)} and {(k, l)} cross"
+        if g.symmetric:
+            m = n + 1
+            assert all(
+                partner[m - v] == (m - partner[v] if partner[v] else 0) for v in range(1, m)
+            ), "side not symmetric under the mirror"
 
 
 def _ray(start: int, first: dict[int, int], second: dict[int, int]) -> tuple[list[int], bool]:
@@ -139,7 +162,7 @@ def test_analyze_nine_vertex_example():
 
 
 def test_analyze_isolated_vertices_are_segments():
-    report = analyze(MeanderGraph(3, (), ()))
+    report = analyze(build_graph_a(make_seaweed_a("1,1,1", "1,1,1")))
     assert report.cycles == 0 and report.segments == 3
     assert all(c.kind is ComponentKind.SEGMENT for c in report.components)
 
@@ -180,92 +203,47 @@ def test_analyze_matches_reference_on_random_descriptors_to_rank_200():
         assert analyze(g) == reference_analyze(g), (top, bottom)
 
 
-def test_builder_graph_equals_public_graph():
-    for build, q in (
-        (build_graph_c, make_seaweed_c(7, "2,3", "")),
-        (build_graph_c, make_seaweed_c(8, "3,4", "5,3")),
-        (build_graph_a, make_seaweed_a("5,2,2", "2,4,3")),
-    ):
-        built = build(q)
-        public = MeanderGraph(
-            built.vertex_count,
-            built.top_arcs[::-1],  # the constructor sorts
-            list(built.bottom_arcs),
-            symmetric=built.symmetric,
-        )
-        assert built == public
-        assert hash(built) == hash(public)
-        assert repr(built) == repr(public)
-        assert built.top_partner == public.top_partner
-        assert built.bottom_partner == public.bottom_partner
-        assert analyze(built) == analyze(public)
+def test_builders_make_valid_meander_graphs():
+    for n in range(0, 7):
+        for q in seaweed_pairs(n):
+            assert_valid_meander_graph(build_graph_c(q))
+    for size in range(1, 8):
+        comps = list(compositions_of(size))
+        for top in comps:
+            for bottom in comps:
+                assert_valid_meander_graph(build_graph_a(SeaweedA(top, bottom)))
 
 
-def test_builders_check_each_side_once_while_its_composition_lives(monkeypatch):
-    # A fresh, empty memo of the module's own kind, so every side is new.
-    sides = type(meander._SIDES)()
-    monkeypatch.setattr(meander, "_SIDES", sides)
-    checked = []
-    real = meander._check_side
+# The checker above must catch each defect a builder could introduce.
 
-    def counting(name, arcs, n):
-        checked.append(n)
-        return real(name, arcs, n)
-
-    monkeypatch.setattr(meander, "_check_side", counting)
-    pairs = list(seaweed_pairs(5))
-    graphs = [build_graph_c(q) for q in pairs]
-    distinct = {(c.parts, q.rank - c.total) for q in pairs for c in (q.top, q.bottom)}
-    assert len(checked) == len(distinct) == 32 < 2 * len(pairs)
-    reports = [analyze(g) for g in graphs]
-    alive = [weakref.ref(c) for c in sides]
-    del pairs
-    gc.collect()
-    assert len(sides) == 0
-    assert all(ref() is None for ref in alive)
-    # The graphs keep their own sides.
-    assert [analyze(g) for g in graphs] == reports
+NO_ARCS = (0,) * 5
 
 
 def test_crossing_arcs_rejected():
-    with pytest.raises(ValueError, match="top_arcs arc \\(2, 4\\) crosses"):
-        MeanderGraph(4, ((1, 3), (2, 4)), ())
-    with pytest.raises(ValueError, match="bottom_arcs arc \\(2, 4\\) crosses"):
-        MeanderGraph(4, ((1, 4),), ((1, 3), (2, 4)))
+    with pytest.raises(AssertionError, match="cross"):
+        assert_valid_meander_graph(MeanderGraph(4, (0, 3, 4, 1, 2), NO_ARCS))  # (1,3), (2,4)
 
 
 def test_double_arc_on_a_vertex_rejected():
-    with pytest.raises(ValueError, match="vertex 3 lies on two top_arcs"):
-        MeanderGraph(4, ((1, 3), (3, 4)), ())
-    with pytest.raises(ValueError, match="vertex 3 lies on two bottom_arcs"):
-        MeanderGraph(4, ((1, 2),), ((1, 3), (3, 4)))
+    with pytest.raises(AssertionError, match="two arcs"):
+        assert_valid_meander_graph(MeanderGraph(4, NO_ARCS, (0, 3, 0, 4, 3)))  # (1,3), (3,4)
+
+
+def test_one_sided_partner_rejected():
+    with pytest.raises(AssertionError, match="partner of 1 inconsistent"):
+        assert_valid_meander_graph(MeanderGraph(4, (0, 2, 0, 0, 0), NO_ARCS))  # 1 -> 2 only
 
 
 def test_out_of_range_arc_rejected():
-    with pytest.raises(ValueError, match="top_arcs arc \\(1, 4\\) out of range"):
-        MeanderGraph(3, ((1, 4),), ())
-    with pytest.raises(ValueError, match="bottom_arcs arc \\(0, 2\\) out of range"):
-        MeanderGraph(3, ((1, 3),), ((0, 2),))
+    with pytest.raises(AssertionError, match="out of range"):
+        assert_valid_meander_graph(MeanderGraph(3, (0, 4, 0, 0), (0,) * 4))
 
 
-def test_float_endpoint_rejected():
-    with pytest.raises(ValueError, match="top_arcs arc \\(1.5, 4\\) has a non-integer"):
-        MeanderGraph(4, [(1.5, 4)], [])
-
-
-def test_string_endpoint_rejected():
-    with pytest.raises(ValueError, match="bottom_arcs arc \\('1', 4\\) has a non-integer"):
-        MeanderGraph(4, [], [("1", 4)])
-
-
-def test_bool_endpoint_rejected():
-    with pytest.raises(ValueError, match="top_arcs arc \\(True, 2\\) has a non-integer"):
-        MeanderGraph(2, [(True, 2)], [])
-
-
-def test_bool_vertex_count_rejected():
-    with pytest.raises(ValueError, match="vertex count"):
-        MeanderGraph(True, (), ())
+def test_asymmetric_graph_rejected_when_flagged():
+    top = (0, 2, 1, 0, 0)  # (1,2) without its mirror (3,4)
+    assert_valid_meander_graph(MeanderGraph(4, top, NO_ARCS))
+    with pytest.raises(AssertionError, match="not symmetric"):
+        assert_valid_meander_graph(MeanderGraph(4, top, NO_ARCS, symmetric=True))
 
 
 def test_symmetric_report_index_needs_paired_loose_segments():
@@ -275,18 +253,6 @@ def test_symmetric_report_index_needs_paired_loose_segments():
     assert ComponentReport((left, right), symmetric=True).index == 1
     with pytest.raises(AssertionError, match="must come in pairs; got 1"):
         ComponentReport((left,), symmetric=True).index
-
-
-def test_asymmetric_graph_rejected_when_flagged():
-    with pytest.raises(ValueError, match="top_arcs are not symmetric under v -> 5-v"):
-        MeanderGraph(4, ((1, 2),), (), symmetric=True)
-    with pytest.raises(ValueError, match="bottom_arcs are not symmetric under v -> 5-v"):
-        MeanderGraph(4, ((1, 4),), ((1, 2),), symmetric=True)
-
-
-def test_range_checks_on_both_sides_run_before_the_mirror_check():
-    with pytest.raises(ValueError, match="bottom_arcs arc \\(1, 5\\) out of range"):
-        MeanderGraph(4, ((1, 2),), ((1, 5),), symmetric=True)
 
 
 def test_symmetric_invariants_exhaustive():
