@@ -34,6 +34,8 @@ Usage examples
 Environment: MEANDRE_MAX_N caps the census rank (default 20), the
 verification bounds (default 8) and the oracle bound (default 6).  verify
 --samples must be at least 1; --seed seeds the oracle sampling (default 0).
+index and graph refuse a graph of more than 2,000,000 vertices (rank 10^6
+for C/B) with exit 2; reduce builds no graph.
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -53,12 +55,21 @@ from .composition import (
 )
 from .enumeration import frobenius_census
 from .index import reduction_chain
-from .io_render import census_table, document, payload_head, to_ascii, to_dot, to_json
+from .io_render import (
+    GraphDocument,
+    census_table,
+    document,
+    payload_head,
+    to_ascii,
+    to_dot,
+    to_json,
+)
 from .verify import run_all
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
+GRAPH_MAX_VERTICES = 2_000_000  # rank 10^6 for C/B: about 3.5 s and 360 MB
 
 
 def _check_bounds(*flags: tuple[str, int, int]) -> None:
@@ -104,9 +115,19 @@ def _banner(q: SeaweedA | SeaweedC) -> str:
     )
 
 
+def _document(q: SeaweedA | SeaweedC) -> GraphDocument:
+    """The graph document of q, refused above GRAPH_MAX_VERTICES vertices."""
+    vertices = q.size if isinstance(q, SeaweedA) else 2 * q.rank
+    if vertices > GRAPH_MAX_VERTICES:
+        raise ValueError(
+            f"the graph would have {vertices} vertices, over the cap of {GRAPH_MAX_VERTICES}"
+        )
+    return document(q)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
-    doc = document(q)
+    doc = _document(q)
     report = doc.report
     if isinstance(q, SeaweedA):
         fields = {
@@ -147,7 +168,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
-    doc = document(q)
+    doc = _document(q)
     if args.format == "json":
         print(to_json(doc))
     elif args.format == "ascii":
@@ -165,7 +186,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             tag = ""
             if doc.graph.symmetric and not comp.is_cycle:
                 tag = " mirror-stable" if comp.sigma_stable else " not-mirror-stable"
-            print(f"  {comp.kind.value} {{{verts}}}{tag}")
+            print(f"  {comp.kind} {{{verts}}}{tag}")
         print(f"index: {doc.index}")
     return 0
 

@@ -6,8 +6,8 @@ Two independent routes to the same number:
 * rewriting of the leading parts, which strictly lowers the rank until one
   side is empty and the parabolic formula sum(part//2) + defect applies.
 
-The rewriting comes in two flavours that must agree: the three-case step
-(`reduce_step`) and the collapsed closed-form step (`reduce_step_closed`)
+One step function, `reduce_step`, serves both rewriting flavours, which
+must agree: the three-case step and (closed_form=True) the collapsed step
 that jumps over all "large" cases at once using an integer witness p.
 `reduction_chain` records every step so the routes can be replayed and
 cross-checked.
@@ -16,7 +16,7 @@ cross-checked.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .composition import Composition, SeaweedA, SeaweedC
 from .meander import analyze, build_graph_a, build_graph_c
@@ -78,43 +78,6 @@ class ReductionChain:
     total_index: int
 
 
-def reduce_step(q: SeaweedC) -> ReductionStep:
-    """One three-case rewriting step.
-
-    Requires both sides non-empty and the leading top part at most the
-    leading bottom part (swap the sides first otherwise).  With a1 = top[0]
-    and b1 = bottom[0]:
-
-    * a1 = b1       -- a gl(a1) factor splits off; delta a1, drop both parts;
-    * a1 <= b1/2    -- bottom head becomes (b1-2*a1, a1), zero part dropped;
-    * b1/2 < a1 < b1 -- rank drops by b1-a1, heads become 2*a1-b1 and a1.
-    """
-    a, b = q.top.parts, q.bottom.parts
-    if not a or not b:
-        raise ValueError(f"terminal: {q} is parabolic and cannot be reduced")
-    a1, b1 = a[0], b[0]
-    if a1 > b1:
-        raise ValueError(
-            "sides must be pre-swapped so the leading top part is <= the bottom one"
-        )
-    if a1 == b1:
-        after = SeaweedC(q.rank - a1, Composition(a[1:]), Composition(b[1:]), q.series)
-        return ReductionStep(Rule.SPLIT_EQUAL, q, after, a1)
-    if 2 * a1 <= b1:
-        head = (a1,) if b1 == 2 * a1 else (b1 - 2 * a1, a1)
-        after = SeaweedC(
-            q.rank - a1, Composition(a[1:]), Composition(head + b[1:]), q.series
-        )
-        return ReductionStep(Rule.CASE_SMALL, q, after, 0)
-    after = SeaweedC(
-        q.rank - b1 + a1,
-        Composition((2 * a1 - b1,) + a[1:]),
-        Composition((a1,) + b[1:]),
-        q.series,
-    )
-    return ReductionStep(Rule.CASE_LARGE, q, after, 0)
-
-
 def closed_form_witness(a1: int, b1: int) -> int:
     """The unique integer p >= 0 with p/(p+1) < a1/b1 <= (p+1)/(p+2).
 
@@ -139,53 +102,55 @@ def closed_form_head(a1: int, b1: int) -> tuple[int, tuple[int, ...]]:
     return p, ((b1_second,) if b1_first == 0 else (b1_first, b1_second))
 
 
-def reduce_step_closed(q: SeaweedC) -> ReductionStep:
-    """The collapsed rewriting step for a1 < b1.
+def reduce_step(q: SeaweedC, *, closed_form: bool = False) -> ReductionStep:
+    """One rewriting step, three-case or (closed_form=True) collapsed.
 
-    With witness p, the bottom head b1 is replaced by `closed_form_head`
-    while a1 is dropped and the rank decreases by a1.  Equivalent to p
-    consecutive "large" steps followed by one "small" step.
+    Requires both sides non-empty.  If the leading top part is the larger,
+    the sides are exchanged first ((a|b) and (b|a) are isomorphic); the step
+    records `swapped` and keeps the unswapped q as `before`.  Then, with
+    a1 = top[0] and b1 = bottom[0]:
+
+    * a1 = b1        -- a gl(a1) factor splits off; delta a1, drop both parts;
+    * closed_form    -- bottom head becomes `closed_form_head`, a1 dropped:
+                        p "large" steps and one "small" step at once;
+    * a1 <= b1/2     -- bottom head becomes (b1-2*a1, a1), zero part dropped;
+    * b1/2 < a1 < b1 -- rank drops by b1-a1, heads become 2*a1-b1 and a1.
     """
-    a, b = q.top.parts, q.bottom.parts
-    if not a or not b:
+    if not q.top.parts or not q.bottom.parts:
         raise ValueError(f"terminal: {q} is parabolic and cannot be reduced")
+    swapped = q.top.parts[0] > q.bottom.parts[0]
+    a, b = (q.bottom.parts, q.top.parts) if swapped else (q.top.parts, q.bottom.parts)
     a1, b1 = a[0], b[0]
+    delta, p = 0, None
     if a1 == b1:
-        raise ValueError("equal leading parts: use the split step instead")
-    if a1 > b1:
-        raise ValueError(
-            "sides must be pre-swapped so the leading top part is < the bottom one"
-        )
-    p, head = closed_form_head(a1, b1)
-    after = SeaweedC(
-        q.rank - a1, Composition(a[1:]), Composition(head + b[1:]), q.series
-    )
-    return ReductionStep(Rule.CLOSED_FORM, q, after, 0, witness_p=p)
+        rule, rank, delta = Rule.SPLIT_EQUAL, q.rank - a1, a1
+        top, bottom = a[1:], b[1:]
+    elif closed_form:
+        p, head = closed_form_head(a1, b1)
+        rule, rank = Rule.CLOSED_FORM, q.rank - a1
+        top, bottom = a[1:], head + b[1:]
+    elif 2 * a1 <= b1:
+        head = (a1,) if b1 == 2 * a1 else (b1 - 2 * a1, a1)
+        rule, rank = Rule.CASE_SMALL, q.rank - a1
+        top, bottom = a[1:], head + b[1:]
+    else:
+        rule, rank = Rule.CASE_LARGE, q.rank - b1 + a1
+        top, bottom = (2 * a1 - b1,) + a[1:], (a1,) + b[1:]
+    after = SeaweedC(rank, Composition(top), Composition(bottom), q.series)
+    return ReductionStep(rule, q, after, delta, swapped, p)
 
 
 def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
-    """Reduce until one side is empty, then close with the parabolic formula.
-
-    Sides are swapped whenever the leading bottom part is smaller (recorded
-    on the step).  With closed_form=True the collapsed step replaces the
-    small/large cases; equal leading parts always use the split step.
-    """
+    """Reduce with `reduce_step` until one side is empty, then close with the
+    parabolic formula."""
     steps: list[ReductionStep] = []
-    total = 0
     cur = q
     while cur.top.parts and cur.bottom.parts:
-        swapped = cur.top.parts[0] > cur.bottom.parts[0]
-        work = cur.swap() if swapped else cur
-        if closed_form and work.top.parts[0] != work.bottom.parts[0]:
-            step = reduce_step_closed(work)
-        else:
-            step = reduce_step(work)
-        if swapped:
-            step = replace(step, before=cur, swapped=True)
+        step = reduce_step(cur, closed_form=closed_form)
         assert step.after.rank < cur.rank  # termination
         steps.append(step)
-        total += step.index_delta
         cur = step.after
     side = cur.top if cur.top.parts else cur.bottom
     terminal_index = parabolic_index_c(cur.rank, side)
-    return ReductionChain(tuple(steps), cur, terminal_index, total + terminal_index)
+    total = sum(step.index_delta for step in steps) + terminal_index
+    return ReductionChain(tuple(steps), cur, terminal_index, total)

@@ -18,7 +18,6 @@ from .composition import SeaweedA, SeaweedC, Series, parse_composition
 from .enumeration import CensusRow
 from .meander import (
     Arc,
-    ComponentKind,
     ComponentReport,
     MeanderGraph,
     analyze,
@@ -69,7 +68,7 @@ def _payload(doc: GraphDocument) -> dict:
         "bottom_arcs": [list(a) for a in doc.graph.bottom_arcs],
         "components": [
             {
-                "kind": c.kind.value,
+                "kind": c.kind,
                 "vertices": list(c.vertices),
                 "sigma_stable": c.sigma_stable,
             }
@@ -232,14 +231,14 @@ def to_dot(doc: GraphDocument) -> str:
     plain type-A graphs, where the mirror plays no role).
     """
     g = doc.graph
-    owner: dict[int, tuple[ComponentKind, bool]] = {}
+    owner: dict[int, tuple[bool, bool]] = {}
     for comp in doc.report.components:
         for v in comp.vertices:
-            owner[v] = (comp.kind, comp.sigma_stable)
+            owner[v] = (comp.is_cycle, comp.sigma_stable)
 
     def colour(i: int) -> str:
-        kind, stable = owner[i]
-        if kind is ComponentKind.CYCLE:
+        is_cycle, stable = owner[i]
+        if is_cycle:
             return "blue"
         if g.symmetric and not stable:
             return "red"

@@ -19,18 +19,13 @@ v's arc on that side, 0 if v has none.  `analyze` walks the two arrays.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .composition import SeaweedA, SeaweedC, doubled
 
 Arc = tuple[int, int]
 Partner = tuple[int, ...]
-
-
-class ComponentKind(enum.Enum):
-    CYCLE = "cycle"
-    SEGMENT = "segment"
 
 
 @dataclass(frozen=True)
@@ -69,17 +64,16 @@ def _partner(parts: tuple[int, ...]) -> Partner:
     return tuple(partner)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One connected component; vertices are listed along the walk."""
 
     vertices: tuple[int, ...]
-    kind: ComponentKind
+    is_cycle: bool
     sigma_stable: bool
 
     @property
-    def is_cycle(self) -> bool:
-        return self.kind is ComponentKind.CYCLE
+    def kind(self) -> str:
+        return "cycle" if self.is_cycle else "segment"
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,6 @@ def analyze(g: MeanderGraph) -> ComponentReport:
     top, bottom = g.top_partner, g.bottom_partner
     mirror = n + 1
     symmetric = g.symmetric
-    cycle, segment = ComponentKind.CYCLE, ComponentKind.SEGMENT
     seen = bytearray(n + 1)
     comps: list[Component] = []
     for start in range(1, n + 1):
@@ -189,5 +182,5 @@ def analyze(g: MeanderGraph) -> ComponentReport:
         for v in vertices:
             seen[v] = 1
         stable = symmetric and mirror - start in vertices
-        comps.append(Component(vertices, cycle if closed else segment, stable))
+        comps.append(Component(vertices, closed, stable))
     return ComponentReport(tuple(comps), symmetric)

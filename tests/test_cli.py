@@ -109,6 +109,22 @@ def test_index_missing_n_exits_2(capsys):
     assert "--n" in err
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "--series", "C", "--n", HUGE, "--top", "1", "--bottom", "1"),
+        ("graph", "--series", "A", "--top", HUGE, "--bottom", HUGE),
+    ],
+)
+def test_graph_over_vertex_cap_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "over the cap of 2000000" in err
+
+
 def test_graph_json_roundtrips(capsys):
     code, out, _ = run(
         capsys, "graph", "--series", "C", "--n", "7", "--top", "2,3", "--bottom", "", "--format", "json"
@@ -258,8 +274,11 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-# Ranks up to 8 and composition tokens, malformed ones included.
-RANKS = st.integers(min_value=-1, max_value=8).map(str)
+# Ranks up to 8, two past the graph cap, and composition tokens, malformed
+# ones included.
+RANKS = st.integers(min_value=-1, max_value=8).map(str) | st.sampled_from(
+    ["1000000000", "99999999999999999999"]
+)
 TOKENS = st.sampled_from(["", "0", "-1", "1,,2", "x", "∅", "1.5"]) | st.lists(
     st.integers(min_value=1, max_value=9), max_size=4
 ).map(lambda parts: ",".join(map(str, parts)))

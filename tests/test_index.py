@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
 from meandre.composition import Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
-from meandre.index import (
-    Rule,
-    closed_form_witness,
-    parabolic_index_c,
-    reduce_step,
-    reduce_step_closed,
-)
+from meandre.index import Rule, closed_form_witness, parabolic_index_c, reduce_step
 from meandre.meander import analyze, build_graph_a, build_graph_c
 
 
@@ -119,6 +113,11 @@ def test_reduce_step_split_equal():
     assert step.rule is Rule.SPLIT_EQUAL
     assert step.index_delta == 2
     assert step.after == make_seaweed_c(3, "1", "2")
+    # Equal leading parts split in the closed-form flavour too.
+    step = reduce_step(make_seaweed_c(4, "2", "2,1"), closed_form=True)
+    assert step.rule is Rule.SPLIT_EQUAL
+    assert step.witness_p is None
+    assert step.after == make_seaweed_c(2, "", "1")
 
 
 def test_reduce_step_case_large():
@@ -136,29 +135,50 @@ def test_reduce_step_drops_zero_part():
 def test_reduce_step_errors():
     with pytest.raises(ValueError, match="terminal"):
         reduce_step(make_seaweed_c(7, "2,3", ""))
-    with pytest.raises(ValueError, match="pre-swapped"):
-        reduce_step(make_seaweed_c(7, "3", "1,5"))
+    with pytest.raises(ValueError, match="terminal"):
+        reduce_step(make_seaweed_c(7, "", "1,5"), closed_form=True)
+
+
+def test_reduce_step_swaps_sides_itself():
+    q = make_seaweed_c(7, "3", "1,5")
+    for closed in (False, True):
+        step = reduce_step(q, closed_form=closed)
+        assert step.swapped
+        assert step.before == q
+        assert step.after == reduce_step(q.swap(), closed_form=closed).after
 
 
 def test_reduce_step_closed_examples():
-    step = reduce_step_closed(make_seaweed_c(10, "3,3", "4,5"))
+    step = reduce_step(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
     assert step.witness_p == 2
     assert step.after == make_seaweed_c(7, "3", "1,5")  # zero head part omitted
-    step = reduce_step_closed(make_seaweed_c(6, "1,1", "5"))
+    step = reduce_step(make_seaweed_c(6, "1,1", "5"), closed_form=True)
     assert step.witness_p == 0
     assert step.after == make_seaweed_c(5, "1", "3,1")
-    step = reduce_step_closed(make_seaweed_c(2, "1", "2"))
+    step = reduce_step(make_seaweed_c(2, "1", "2"), closed_form=True)
     assert step.witness_p == 0
     assert step.after == make_seaweed_c(1, "", "1")
 
 
-def test_reduce_step_closed_errors():
-    with pytest.raises(ValueError, match="split step"):
-        reduce_step_closed(make_seaweed_c(4, "2", "2,1"))
-    with pytest.raises(ValueError, match="pre-swapped"):
-        reduce_step_closed(make_seaweed_c(7, "3", "1,5"))
-    with pytest.raises(ValueError, match="terminal"):
-        reduce_step_closed(make_seaweed_c(7, "", "1,5"))
+def test_closed_form_step_is_large_steps_then_one_small_step():
+    """For a1 < b1 the collapsed step lands where witness_p case-large steps
+    and one case-small step of the three-case flavour land, none swapped."""
+    checked = 0
+    for n in range(1, 8):
+        for q in seaweed_pairs(n):
+            a, b = q.top.parts, q.bottom.parts
+            if not (a and b and a[0] < b[0]):
+                continue
+            closed = reduce_step(q, closed_form=True)
+            rules = [Rule.CASE_LARGE] * closed.witness_p + [Rule.CASE_SMALL]
+            cur = q
+            for rule in rules:
+                step = reduce_step(cur)
+                assert (step.rule, step.swapped) == (rule, False), q
+                cur = step.after
+            assert cur == closed.after, q
+            checked += 1
+    assert checked == 7032  # every such descriptor of rank <= 7
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))

@@ -8,7 +8,6 @@ from meandre.composition import Composition, SeaweedA, SeaweedC
 from meandre.enumeration import compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
-    ComponentKind,
     ComponentReport,
     MeanderGraph,
     analyze,
@@ -100,8 +99,7 @@ def reference_analyze(g: MeanderGraph) -> ComponentReport:
             vertices = (*reversed(backward), start, *forward)
         seen.update(vertices)
         stable = g.symmetric and set(vertices) == {mirror - v for v in vertices}
-        kind = ComponentKind.CYCLE if closed else ComponentKind.SEGMENT
-        comps.append(Component(vertices, kind, stable))
+        comps.append(Component(vertices, closed, stable))
     return ComponentReport(tuple(comps), g.symmetric)
 
 
@@ -164,7 +162,7 @@ def test_analyze_nine_vertex_example():
 def test_analyze_isolated_vertices_are_segments():
     report = analyze(build_graph_a(make_seaweed_a("1,1,1", "1,1,1")))
     assert report.cycles == 0 and report.segments == 3
-    assert all(c.kind is ComponentKind.SEGMENT for c in report.components)
+    assert not any(c.is_cycle for c in report.components)
 
 
 def test_analyze_orders_components_by_smallest_vertex():
@@ -247,8 +245,8 @@ def test_asymmetric_graph_rejected_when_flagged():
 
 
 def test_symmetric_report_index_needs_paired_loose_segments():
-    left = Component((1,), ComponentKind.SEGMENT, sigma_stable=False)
-    right = Component((2,), ComponentKind.SEGMENT, sigma_stable=False)
+    left = Component((1,), is_cycle=False, sigma_stable=False)
+    right = Component((2,), is_cycle=False, sigma_stable=False)
     assert ComponentReport((left,)).index == 1  # plain graph: 2*cycles + segments
     assert ComponentReport((left, right), symmetric=True).index == 1
     with pytest.raises(AssertionError, match="must come in pairs; got 1"):
