@@ -31,11 +31,12 @@ Usage examples
   meandre census --n 7
   meandre verify --max-n 5
 
-Environment: MEANDRE_MAX_N caps the census rank (default 20), the
-verification bounds (default 8) and the oracle bound (default 6).  verify
---samples must be at least 1; --seed seeds the oracle sampling (default 0).
-index and graph refuse a graph of more than 2,000,000 vertices (rank 10^6
-for C/B) with exit 2; reduce builds no graph.
+Caps: census --n at most 20, verify --max-n and --census-max-n at most 8,
+--oracle-max-n at most 6; they are constants, and larger ranks go through
+the library.  verify --samples must be at least 1; --seed seeds the oracle
+sampling (default 0).  index and graph refuse a graph of more than
+2,000,000 vertices (rank 10^6 for C/B; io_render.document's cap) with
+exit 2; reduce builds no graph.
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .composition import (
@@ -56,7 +56,6 @@ from .composition import (
 from .enumeration import frobenius_census
 from .index import reduction_chain
 from .io_render import (
-    GraphDocument,
     census_table,
     document,
     payload_head,
@@ -69,25 +68,13 @@ from .verify import run_all
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
-GRAPH_MAX_VERTICES = 2_000_000  # rank 10^6 for C/B: about 3.5 s and 360 MB
 
 
 def _check_bounds(*flags: tuple[str, int, int]) -> None:
-    """Reject a (name, value, default cap) flag outside 1..cap; MEANDRE_MAX_N,
-    when set, replaces every default cap."""
-    raw = os.environ.get("MEANDRE_MAX_N", "").strip()
-    try:
-        env_max_n = int(raw) if raw else None
-    except ValueError:
-        raise ValueError(f"environment variable MEANDRE_MAX_N must be an integer, got {raw!r}")
-    if env_max_n is not None and env_max_n < 1:
-        raise ValueError(
-            f"environment variable MEANDRE_MAX_N must be a positive integer, got {env_max_n}"
-        )
-    for name, value, default_max_n in flags:
-        max_n = env_max_n or default_max_n
-        if not 1 <= value <= max_n:
-            raise ValueError(f"{name} must lie in 1..{max_n} (MEANDRE_MAX_N), got {value}")
+    """Reject a (name, value, cap) flag outside 1..cap."""
+    for name, value, cap in flags:
+        if not 1 <= value <= cap:
+            raise ValueError(f"{name} must lie in 1..{cap}, got {value}")
 
 
 def _print_json(payload) -> None:
@@ -115,19 +102,9 @@ def _banner(q: SeaweedA | SeaweedC) -> str:
     )
 
 
-def _document(q: SeaweedA | SeaweedC) -> GraphDocument:
-    """The graph document of q, refused above GRAPH_MAX_VERTICES vertices."""
-    vertices = q.size if isinstance(q, SeaweedA) else 2 * q.rank
-    if vertices > GRAPH_MAX_VERTICES:
-        raise ValueError(
-            f"the graph would have {vertices} vertices, over the cap of {GRAPH_MAX_VERTICES}"
-        )
-    return document(q)
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
-    doc = _document(q)
+    doc = document(q)
     report = doc.report
     if isinstance(q, SeaweedA):
         fields = {
@@ -168,7 +145,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
-    doc = _document(q)
+    doc = document(q)
     if args.format == "json":
         print(to_json(doc))
     elif args.format == "ascii":

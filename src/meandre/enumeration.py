@@ -118,8 +118,11 @@ def _index_zero_count(
         a1 = top[0]
         _, head = closed_form_head(a1, bottom[0])
         rank, top, bottom = rank - a1, top[1:], head + bottom[1:]
-    if (not top and top_free) or (not bottom and bottom_free):
-        return _choose_first_part(rank, top, top_free, bottom, bottom_free)
+    # A side with no forced part left but a positive free total goes first.
+    if top or not top_free:
+        top, top_free, bottom, bottom_free = bottom, bottom_free, top, top_free
+    if not top and top_free:
+        return _choose_first_part(rank, top_free, bottom, bottom_free)
     # Parabolic terminal sum(part//2) + defect: zero only for a full side
     # of 1s.  A side never exceeds the rank and len(side) <= sum(side), so
     # len(side) + free == rank says exactly that, with the tail all 1s:
@@ -129,20 +132,12 @@ def _index_zero_count(
 
 
 @lru_cache(maxsize=None)
-def _choose_first_part(
-    rank: int, top: tuple[int, ...], top_free: int, bottom: tuple[int, ...], bottom_free: int
-) -> int:
-    """`_index_zero_count` where a side has no forced part left but a
-    positive free total: sum over its next part p.  The memo of the count
-    lives here only, as the steps between two choices are a cheap walk."""
-    if not top and top_free:
-        return sum(
-            _index_zero_count(rank, (p,), top_free - p, bottom, bottom_free)
-            for p in range(1, top_free + 1)
-        )
+def _choose_first_part(rank: int, free: int, other: tuple[int, ...], other_free: int) -> int:
+    """`_index_zero_count` where one side has no forced part left but a
+    positive free total: sum over that side's next part p.  The memo of the
+    count lives here only, as the steps between two choices are a cheap walk."""
     return sum(
-        _index_zero_count(rank, top, top_free, (p,), bottom_free - p)
-        for p in range(1, bottom_free + 1)
+        _index_zero_count(rank, (p,), free - p, other, other_free) for p in range(1, free + 1)
     )
 
 

@@ -4,8 +4,10 @@ The JSON form is the interchange format: fixed key order {type, n, top,
 bottom, vertices, top_arcs, bottom_arcs, components, index}, 1-based
 vertices, arcs as two-element arrays.  Loading recomputes everything from
 the descriptor and rejects files whose embedded graph, components or index
-disagree, in value or in JSON type.  The ASCII and DOT renderers draw arcs
-above/below a vertex row; for symmetric graphs the centre line is marked.
+disagree, in value or in JSON type.  `document` refuses a graph of more
+than GRAPH_MAX_VERTICES vertices, so the CLI and `from_json` share one size
+cap.  The ASCII and DOT renderers draw arcs above/below a vertex row; for
+symmetric graphs the centre line is marked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .meander import (
 
 Descriptor = SeaweedA | SeaweedC
 
+GRAPH_MAX_VERTICES = 2_000_000  # rank 10^6 for C/B: about 3.5 s and 360 MB
+
 
 @dataclass(frozen=True)
 class GraphDocument:
@@ -42,7 +46,13 @@ class GraphDocument:
 
 
 def document(q: Descriptor) -> GraphDocument:
-    """Build the full document for a descriptor."""
+    """Build the full document for a descriptor, refused above
+    GRAPH_MAX_VERTICES vertices."""
+    vertices = q.size if isinstance(q, SeaweedA) else 2 * q.rank
+    if vertices > GRAPH_MAX_VERTICES:
+        raise ValueError(
+            f"the graph would have {vertices} vertices, over the cap of {GRAPH_MAX_VERTICES}"
+        )
     graph = build_graph_a(q) if isinstance(q, SeaweedA) else build_graph_c(q)
     return GraphDocument(q, graph, analyze(graph))
 
@@ -120,7 +130,7 @@ def from_json(text: str) -> GraphDocument:
             descriptor = SeaweedC(int(data["n"]), top, bottom, series)
     except KeyError as missing:
         raise ValueError(f"document is missing the {missing} field") from None
-    except (TypeError, AttributeError) as bad:
+    except (TypeError, AttributeError, OverflowError) as bad:
         raise ValueError(f"malformed document field: {bad}") from None
     doc = document(descriptor)
     if _payload(doc) != data or not _json_types_match(data):
@@ -154,8 +164,6 @@ def census_table(rows: list[CensusRow]) -> str:
 
 # --- ASCII rendering -------------------------------------------------------
 
-_TOP_CORNERS = ("╭", "╮")
-_BOTTOM_CORNERS = ("╰", "╯")
 _MIRROR = "|"
 
 
@@ -194,24 +202,16 @@ def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
 
     for v in range(1, n + 1):
         grid[vrow][col(v)] = "*"
-    for i, j in top_arcs:
-        row = vrow - _height((i, j))
-        grid[row][col(i)] = _TOP_CORNERS[0]
-        grid[row][col(j)] = _TOP_CORNERS[1]
-        for c in range(col(i) + 1, col(j)):
-            grid[row][c] = "─"
-        for r in range(row + 1, vrow):
-            grid[r][col(i)] = "│"
-            grid[r][col(j)] = "│"
-    for i, j in bottom_arcs:
-        row = vrow + _height((i, j))
-        grid[row][col(i)] = _BOTTOM_CORNERS[0]
-        grid[row][col(j)] = _BOTTOM_CORNERS[1]
-        for c in range(col(i) + 1, col(j)):
-            grid[row][c] = "─"
-        for r in range(vrow + 1, row):
-            grid[r][col(i)] = "│"
-            grid[r][col(j)] = "│"
+    for arcs, step, (left, right) in ((top_arcs, -1, "╭╮"), (bottom_arcs, 1, "╰╯")):
+        for i, j in arcs:
+            row = vrow + step * _height((i, j))
+            grid[row][col(i)] = left
+            grid[row][col(j)] = right
+            for c in range(col(i) + 1, col(j)):
+                grid[row][c] = "─"
+            for r in range(vrow + step, row, step):
+                grid[r][col(i)] = "│"
+                grid[r][col(j)] = "│"
     if g.symmetric:
         centre = n - 1  # column between vertices n/2 and n/2 + 1
         for row in grid:

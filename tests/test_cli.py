@@ -208,15 +208,7 @@ def test_census_out_of_range_exits_2(capsys):
     assert "must lie in" in err
 
 
-def test_census_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("MEANDRE_MAX_N", "3")
-    code, _, err = run(capsys, "census", "--n", "7")
-    assert code == 2
-    assert "MEANDRE_MAX_N" in err
-
-
-def test_default_caps_census_20_verify_8(capsys, monkeypatch):
-    monkeypatch.delenv("MEANDRE_MAX_N", raising=False)
+def test_default_caps_census_20_verify_8(capsys):
     code, out, _ = run(capsys, "census", "--n", "13")
     assert code == 0
     assert out.splitlines()[-1].split()[0] == "13"
@@ -229,15 +221,6 @@ def test_default_caps_census_20_verify_8(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"1..{cap}" in err
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_nonpositive_env_cap_exits_2(capsys, monkeypatch, cap):
-    monkeypatch.setenv("MEANDRE_MAX_N", cap)
-    for argv in (("census", "--n", "1"), ("verify", "--max-n", "1")):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert f"MEANDRE_MAX_N must be a positive integer, got {cap}" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

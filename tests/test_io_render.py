@@ -144,6 +144,67 @@ def test_malformed_field_types_rejected():
         from_json('{"type": "D", "n": 2, "top": "", "bottom": ""}')
 
 
+HUGE = 10**20
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"type": "C", "n": 10**9, "top": "", "bottom": ""},
+        {"type": "C", "n": HUGE, "top": "", "bottom": ""},
+        {"type": "C", "n": float("inf"), "top": "", "bottom": ""},
+        {"type": "A", "n": HUGE, "top": str(HUGE), "bottom": str(HUGE)},
+    ],
+)
+def test_oversized_document_rejected(payload):
+    with pytest.raises(ValueError):
+        from_json(json.dumps(payload))
+
+
+def test_overflowing_rank_literal_rejected():
+    with pytest.raises(ValueError, match="malformed"):
+        from_json('{"type":"C","n":1e400,"top":"","bottom":""}')
+
+
+def test_document_refuses_graphs_over_the_cap():
+    with pytest.raises(ValueError, match="over the cap of 2000000"):
+        document(make_seaweed_c(1_000_001, "", ""))
+
+
+JSON_VALUES = (
+    st.integers(min_value=-(10**30), max_value=10**30)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+    | st.floats()
+    | st.booleans()
+    | st.text(alphabet="0123456789,∅ -x", max_size=8)
+    | st.text(max_size=4)
+    | st.none()
+    | st.lists(st.integers(min_value=-2, max_value=3) | st.none(), max_size=3)
+)
+VALID_DOCUMENTS = [
+    document(make_seaweed_c(1, "", "1")),
+    document(make_seaweed_c(4, "2,2", "1,2")),
+    document(make_seaweed_a("5,2,2", "2,4,3")),
+]
+
+
+@given(
+    st.sampled_from(VALID_DOCUMENTS),
+    st.sampled_from(["type", "n", "top", "bottom", "vertices", "index"]),
+    JSON_VALUES,
+)
+@settings(max_examples=300, deadline=None)
+def test_from_json_only_raises_value_error(doc, field, value):
+    """One field replaced by any JSON value loads as the original or is a ValueError."""
+    data = json.loads(to_json(doc))
+    data[field] = value
+    try:
+        loaded = from_json(json.dumps(data))
+    except ValueError:
+        return
+    assert loaded == doc
+
+
 def test_ascii_two_vertex_borel():
     art = to_ascii(document(make_seaweed_c(1, "", "1")))
     assert art == " |\n╭─╮\n*|*\n |"
