@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Print the Frobenius census with the stable-tail summary.
 
-For each rank n up to --max-n (default 16) the row of class counts by
-central-arc number k is printed, followed by the values that have stopped
-changing: the count at k = n-m is the same for every n >= 2m+1, so the last
-row's tail predicts all later rows.
+For each rank n up to --max-n (default 16, at least 1) the row of class
+counts by central-arc number k is printed, followed by the values that have
+stopped changing: the count at k = n-m is the same for every n >= 2m+1, so
+the last row's tail predicts all later rows.
 
 Usage:
   python3 scripts/census_report.py [--max-n 16]
@@ -21,6 +21,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=16)
     args = parser.parse_args()
+    if args.max_n < 1:
+        parser.error(f"--max-n must be at least 1, got {args.max_n}")
 
     started = time.time()
     rows = [frobenius_census(n) for n in range(1, args.max_n + 1)]

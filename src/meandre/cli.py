@@ -33,10 +33,11 @@ Usage examples
 
 Caps: census --n at most 20, verify --max-n and --census-max-n at most 8,
 --oracle-max-n at most 6; they are constants, and larger ranks go through
-the library.  verify --samples must be at least 1; --seed seeds the oracle
-sampling (default 0).  index and graph refuse a graph of more than
-2,000,000 vertices (rank 10^6 for C/B; io_render.document's cap) with
-exit 2; reduce builds no graph.
+the library.  verify draws 5 oracle samples per seaweed (a constant);
+--seed seeds the sampling (default 0).  index and graph refuse a graph of
+more than 2,000,000 vertices (rank 10^6 for C/B; io_render.document's cap)
+with exit 2, and graph --format ascii a drawing wider than 200 columns;
+reduce builds no graph.
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -113,14 +114,12 @@ def cmd_index(args: argparse.Namespace) -> int:
             "cycles": report.cycles,
             "segments": report.segments,
         }
-        lines = [] if args.sl else [f"index (gl): {doc.index}"]
-        lines += [
+        lines = [
+            f"index (gl): {doc.index}",
             f"index (sl): {doc.index - 1}",
             f"cycles: {report.cycles}",
             f"segments: {report.segments}",
         ]
-    elif args.sl:
-        raise ValueError("--sl applies to series A only")
     else:
         fields = {
             "index": doc.index,
@@ -149,7 +148,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(to_json(doc))
     elif args.format == "ascii":
-        print(to_ascii(doc, max_width=args.max_width))
+        print(to_ascii(doc))
     elif args.format == "dot":
         sys.stdout.write(to_dot(doc))
     else:
@@ -223,13 +222,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("--oracle-max-n", args.oracle_max_n, ORACLE_MAX_N),
         ("--census-max-n", args.census_max_n, BRUTE_FORCE_MAX_N),
     )
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     results = run_all(
         max_n=args.max_n,
         oracle_max_n=args.oracle_max_n,
         census_max_n=args.census_max_n,
-        samples=args.samples,
         seed=args.seed,
     )
     for result in results:
@@ -264,11 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="index of one seaweed")
     _add_descriptor_flags(p_index)
     p_index.add_argument("--json", action="store_true", help="machine-readable output")
-    p_index.add_argument(
-        "--sl",
-        action="store_true",
-        help="restrict text output to the sl index (series A only)",
-    )
     p_index.set_defaults(func=cmd_index)
 
     p_graph = sub.add_parser("graph", help="render the meander graph")
@@ -278,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json", "ascii", "dot"),
         default="text",
         help="output format (default text)",
-    )
-    p_graph.add_argument(
-        "--max-width", type=int, default=200, help="column limit for ascii output"
     )
     p_graph.set_defaults(func=cmd_graph)
 
@@ -312,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-max-n",
         type=int,
         default=3,
-        help="exhaustive rank bound for the Kirillov oracle (plus 50 samples one rank up)",
+        help="exhaustive rank bound for the Kirillov oracle (plus 50 descriptors one rank up)",
     )
     p_verify.add_argument(
         "--census-max-n",
@@ -320,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=7,
         help="rank bound for the per-element census checks "
         "(tail identities use rows up to max(9, this bound))",
-    )
-    p_verify.add_argument(
-        "--samples", type=int, default=5, help="oracle samples per seaweed (at least 1)"
     )
     p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p_verify.set_defaults(func=cmd_verify)

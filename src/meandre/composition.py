@@ -108,7 +108,8 @@ class SeaweedC:
     whose totals are at most n.
 
     Rank 0 (with both sides empty) is admitted; it is the terminal object of
-    the reduction machinery and has index 0.
+    the reduction machinery and has index 0.  The series may also be given as
+    its letter, "C" or "B".
     """
 
     rank: int
@@ -117,6 +118,8 @@ class SeaweedC:
     series: Series = Series.SP
 
     def __post_init__(self) -> None:
+        if not isinstance(self.series, Series):
+            object.__setattr__(self, "series", Series(self.series))
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 0:
             raise ValueError(f"rank must be a non-negative integer, got {self.rank!r}")
         if self.top.total > self.rank:

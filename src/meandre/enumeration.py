@@ -26,7 +26,6 @@ Two routes give the census, one counting and one listing:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -146,15 +145,11 @@ def clear_census_cache() -> None:
     _choose_first_part.cache_clear()
 
 
-def frobenius_seaweeds(n: int, k: int | None = None) -> tuple[SeaweedC, ...]:
-    """Canonical index-0 representatives at rank n, optionally only those
-    with k central arcs."""
-    groups = _frobenius_by_k(n)
-    if k is None:
-        return tuple(itertools.chain.from_iterable(groups))
+def frobenius_seaweeds(n: int, k: int) -> tuple[SeaweedC, ...]:
+    """Canonical index-0 representatives at rank n with k central arcs."""
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    return groups[k - 1]
+    return _frobenius_by_k(n)[k - 1]
 
 
 def frobenius_census(n: int, *, ordered: bool = False) -> CensusRow:

@@ -7,7 +7,8 @@ the descriptor and rejects files whose embedded graph, components or index
 disagree, in value or in JSON type.  `document` refuses a graph of more
 than GRAPH_MAX_VERTICES vertices, so the CLI and `from_json` share one size
 cap.  The ASCII and DOT renderers draw arcs above/below a vertex row; for
-symmetric graphs the centre line is marked.
+symmetric graphs the centre line is marked.  `to_ascii` refuses a drawing
+wider than ASCII_MAX_WIDTH columns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .meander import (
 Descriptor = SeaweedA | SeaweedC
 
 GRAPH_MAX_VERTICES = 2_000_000  # rank 10^6 for C/B: about 3.5 s and 360 MB
+ASCII_MAX_WIDTH = 200  # columns of a to_ascii drawing: rank 50 for C/B
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,10 @@ def to_json(doc: GraphDocument) -> str:
 
 def from_json(text: str) -> GraphDocument:
     """Parse and re-validate; tampered or stale documents are rejected."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("document must be a JSON object")
     try:
@@ -178,16 +183,16 @@ def _height(arc: Arc) -> int:
     return (j - i + 1) // 2
 
 
-def to_ascii(doc: GraphDocument, max_width: int = 200) -> str:
+def to_ascii(doc: GraphDocument) -> str:
     """Monospace drawing: '*' vertices, box-drawing arcs, '|' centre line."""
     g = doc.graph
     n = g.vertex_count
     if n == 0:
         return ""
     width = 2 * n - 1
-    if width > max_width:
+    if width > ASCII_MAX_WIDTH:
         raise ValueError(
-            f"drawing needs {width} columns (limit {max_width}); "
+            f"drawing needs {width} columns (limit {ASCII_MAX_WIDTH}); "
             "use the dot renderer for graphs this wide"
         )
     top_arcs, bottom_arcs = g.top_arcs, g.bottom_arcs

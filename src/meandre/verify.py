@@ -33,6 +33,8 @@ from .index import index_a_gl, index_c, reduction_chain
 from .meander import analyze, build_graph_c
 from .oracle import index_oracle
 
+ORACLE_SAMPLES = 5  # random Kirillov forms per seaweed in check_kirillov_oracle
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -51,7 +53,7 @@ def _fail(name: str, detail: str, q) -> CheckResult:
     return CheckResult(name, False, detail, counterexample=str(q))
 
 
-def check_index_methods(max_n: int = 6) -> CheckResult:
+def check_index_methods(max_n: int) -> CheckResult:
     """Graph count == case-by-case reduction == closed-form reduction."""
     name = "index-methods-agree"
     checked = 0
@@ -70,12 +72,12 @@ def check_index_methods(max_n: int = 6) -> CheckResult:
     return CheckResult(name, True, f"{checked} seaweeds up to rank {max_n}")
 
 
-def check_kirillov_oracle(max_n: int = 3, samples: int = 5, seed: int = 0) -> CheckResult:
+def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
     """Kirillov-form rank oracle == graph count.
 
     Exhaustive up to max_n, plus 50 descriptors sampled without replacement
-    at rank max_n + 1 (all of them when that rank has fewer); all randomness
-    derives from `seed`.
+    at rank max_n + 1 (all of them when that rank has fewer), each given
+    ORACLE_SAMPLES random forms; all randomness derives from `seed`.
     """
     name = "kirillov-oracle-agrees"
     rng = random.Random(seed)
@@ -88,14 +90,14 @@ def check_kirillov_oracle(max_n: int = 3, samples: int = 5, seed: int = 0) -> Ch
     pool.extend(rng.sample(above, sampled))
     for q in pool:
         expected = index_c(q)
-        got = index_oracle(q, samples, seed=rng.randrange(2**30), max_rank=sample_rank)
+        got = index_oracle(q, ORACLE_SAMPLES, seed=rng.randrange(2**30), max_rank=sample_rank)
         if got != expected:
             return _fail(name, f"oracle {got}, graph {expected}", q)
     return CheckResult(
         name,
         True,
         f"{len(pool)} seaweeds (exhaustive to rank {max_n}, "
-        f"{sampled} sampled at rank {sample_rank}), {samples} samples each",
+        f"{sampled} sampled at rank {sample_rank}), {ORACLE_SAMPLES} samples each",
     )
 
 
@@ -326,7 +328,7 @@ def _check_small_defect_closed_forms(max_n: int) -> CheckResult:
     )
 
 
-def check_structure(census_max_n: int = 7) -> list[CheckResult]:
+def check_structure(census_max_n: int) -> list[CheckResult]:
     """The census-level checks; per-element ones range to census_max_n, the
     row-level tail identities to max(census_max_n, 9)."""
     rows_max_n = max(census_max_n, 9)
@@ -343,16 +345,7 @@ def check_structure(census_max_n: int = 7) -> list[CheckResult]:
     ]
 
 
-def run_all(
-    max_n: int = 6,
-    oracle_max_n: int = 3,
-    census_max_n: int = 7,
-    samples: int = 5,
-    seed: int = 0,
-) -> list[CheckResult]:
-    results = [
-        check_index_methods(max_n),
-        check_kirillov_oracle(oracle_max_n, samples=samples, seed=seed),
-    ]
+def run_all(max_n: int, oracle_max_n: int, census_max_n: int, seed: int) -> list[CheckResult]:
+    results = [check_index_methods(max_n), check_kirillov_oracle(oracle_max_n, seed)]
     results.extend(check_structure(census_max_n))
     return results

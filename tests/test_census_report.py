@@ -2,6 +2,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from meandre import frobenius_census
 from meandre.io_render import census_table
 
@@ -17,3 +19,14 @@ def test_census_report_table_and_tail(capsys, monkeypatch):
     tail = rest.split("stable tail counts (constant for every larger rank):\n", 1)[1]
     assert "  k = n-4: 32\n" in tail
     assert "NOT yet settled" not in tail
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_census_report_rejects_max_n_below_1(capsys, monkeypatch, max_n):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--max-n", max_n])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-n must be at least 1, got {max_n}" in captured.err

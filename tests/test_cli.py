@@ -20,7 +20,6 @@ C_9 = ("--series", "C", "--n", "9", "--top", "2,5", "--bottom", "4,1,3")
 # Byte-exact stdout of each command.
 CLI_GOLDENS = {
     "index_a.txt": ("index", *A_9),
-    "index_a_sl.txt": ("index", *A_9, "--sl"),
     "index_a.json": ("index", *A_9, "--json"),
     "index_c.txt": ("index", *C_10),
     "index_c.json": ("index", *C_10, "--json"),
@@ -63,15 +62,6 @@ def test_index_series_a_reports_gl_and_sl(capsys):
     assert code == 0
     assert "index (gl): 3" in out
     assert "index (sl): 2" in out
-
-
-def test_index_series_a_sl_flag(capsys):
-    code, out, _ = run(
-        capsys, "index", "--series", "A", "--top", "5,2,2", "--bottom", "2,4,3", "--sl"
-    )
-    assert code == 0
-    assert "index (sl): 2" in out
-    assert "index (gl)" not in out
 
 
 def test_index_series_b_alias(capsys):
@@ -140,6 +130,14 @@ def test_graph_ascii_contains_mirror(capsys):
     )
     assert code == 0
     assert "*|*" in out
+
+
+def test_graph_ascii_over_width_exits_2(capsys):
+    code, out, err = run(
+        capsys, "graph", "--series", "C", "--n", "101", "--top", "", "--bottom", "", "--format", "ascii"
+    )
+    assert code == 2 and out == ""
+    assert "drawing needs 403 columns (limit 200)" in err
 
 
 def test_graph_dot(capsys):
@@ -223,15 +221,27 @@ def test_default_caps_census_20_verify_8(capsys):
         assert f"1..{cap}" in err
 
 
-@pytest.mark.parametrize("samples", ["0", "-2"])
-def test_verify_rejects_samples_below_1_before_any_check(capsys, monkeypatch, samples):
-    def no_checks(**kwargs):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", *C_10, "--format", "ascii", "--max-width", "500"),
+        ("index", *A_9, "--sl"),
+        ("verify", "--samples", "1"),
+    ],
+    ids=["graph-max-width", "index-sl", "verify-samples"],
+)
+def test_removed_option_exits_2(capsys, monkeypatch, argv):
+    """The ascii width and the oracle samples are constants; series A always
+    prints both indices."""
+
+    def no_checks(*args, **kwargs):
         raise AssertionError("verify ran its checks")
 
     monkeypatch.setattr("meandre.cli.run_all", no_checks)
-    code, out, err = run(capsys, "verify", "--samples", samples)
-    assert code == 2 and out == ""
-    assert f"--samples must be at least 1, got {samples}" in err
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_passes_at_small_bounds(capsys):
@@ -269,11 +279,9 @@ TOKENS = st.sampled_from(["", "0", "-1", "1,,2", "x", "∅", "1.5"]) | st.lists(
 TINY = st.integers(min_value=-1, max_value=2).map(str)
 OPTIONS = {
     "--json": st.just(None),
-    "--sl": st.just(None),
     "--closed-form": st.just(None),
     "--ordered": st.just(None),
     "--format": st.sampled_from(["text", "json", "ascii", "dot"]),
-    "--max-width": st.integers(min_value=-1, max_value=40).map(str),
 }
 
 
@@ -284,7 +292,7 @@ def cli_argv(draw):
     if command == "census":
         argv += ["--n", draw(RANKS)]
     elif command == "verify":
-        for flag in ("--max-n", "--oracle-max-n", "--census-max-n", "--samples"):
+        for flag in ("--max-n", "--oracle-max-n", "--census-max-n"):
             argv += [flag, draw(TINY)]
     else:
         argv += ["--series", draw(st.sampled_from("CBA"))]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.composition import (
     Composition,
+    Series,
     canonical_pair,
     parse_composition,
     symmetrize,
@@ -70,6 +71,15 @@ def test_make_seaweed_c_rejects_overflow():
         make_seaweed_c(2, "3", "")
     with pytest.raises(ValueError, match="bottom composition exceeds rank"):
         make_seaweed_c(2, "", "2,1")
+
+
+def test_series_given_as_its_letter():
+    assert make_seaweed_c(3, "1", "1", "B") == make_seaweed_c(3, "1", "1", Series.SO_ODD)
+    q = make_seaweed_c(3, "1", "1", "C")
+    assert q.series is Series.SP
+    assert (q.series_label, q.algebra_name) == ("C", "sp(6)")
+    with pytest.raises(ValueError):
+        make_seaweed_c(3, "1", "1", "X")
 
 
 def test_seaweed_a_requires_equal_totals():

@@ -82,7 +82,7 @@ def test_frobenius_seaweeds_are_canonical_index_zero():
                 assert index_c(q) == 0
                 assert canonical_pair(q) == q
                 assert n - min(q.top.total, q.bottom.total) == k
-    assert len(frobenius_seaweeds(5)) == frobenius_census(5).total
+    assert sum(len(frobenius_seaweeds(5, k)) for k in range(1, 6)) == frobenius_census(5).total
     with pytest.raises(ValueError, match="k must lie"):
         frobenius_seaweeds(3, 4)
 

@@ -166,6 +166,11 @@ def test_overflowing_rank_literal_rejected():
         from_json('{"type":"C","n":1e400,"top":"","bottom":""}')
 
 
+def test_deeply_nested_document_rejected():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_json("[" * 100_000)
+
+
 def test_document_refuses_graphs_over_the_cap():
     with pytest.raises(ValueError, match="over the cap of 2000000"):
         document(make_seaweed_c(1_000_001, "", ""))
@@ -225,8 +230,10 @@ def test_ascii_empty_graph():
 
 
 def test_ascii_width_overflow():
-    with pytest.raises(ValueError, match="dot renderer"):
-        to_ascii(document(make_seaweed_c(7, "2,3", "")), max_width=10)
+    art = to_ascii(document(make_seaweed_c(50, "", "")))
+    assert max(map(len, art.split("\n"))) == 199
+    with pytest.raises(ValueError, match=r"403 columns \(limit 200\); use the dot renderer"):
+        to_ascii(document(make_seaweed_c(101, "", "")))
 
 
 def test_dot_edge_statements_match_arc_count():
