@@ -226,22 +226,31 @@ def test_default_caps_census_20_verify_8(capsys):
     [
         ("graph", *C_10, "--format", "ascii", "--max-width", "500"),
         ("index", *A_9, "--sl"),
-        ("verify", "--samples", "1"),
     ],
-    ids=["graph-max-width", "index-sl", "verify-samples"],
+    ids=["graph-max-width", "index-sl"],
 )
-def test_removed_option_exits_2(capsys, monkeypatch, argv):
-    """The ascii width and the oracle samples are constants; series A always
-    prints both indices."""
+def test_removed_option_exits_2(capsys, argv):
+    """The ascii width is a constant; series A always prints both indices."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_verify_rejects_samples_below_1_before_any_check(capsys, monkeypatch, samples):
+    """The oracle sample count is a constant: any --samples is a usage error,
+    raised before a check runs."""
 
     def no_checks(*args, **kwargs):
         raise AssertionError("verify ran its checks")
 
     monkeypatch.setattr("meandre.cli.run_all", no_checks)
     with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+        main(["verify", "--samples", samples])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --samples" in captured.err
 
 
 def test_verify_passes_at_small_bounds(capsys):
