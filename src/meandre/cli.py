@@ -36,8 +36,8 @@ Caps: census --n at most 20, verify --max-n and --census-max-n at most 8,
 the library.  verify draws 5 oracle samples per seaweed (a constant);
 --seed seeds the sampling (default 0).  index and graph refuse a graph of
 more than 2,000,000 vertices (rank 10^6 for C/B; io_render.document's cap)
-with exit 2, and graph --format ascii a drawing wider than 200 columns;
-reduce builds no graph.
+with exit 2, as do graph --format ascii, before building a graph, on a
+drawing over 200 columns and reduce without --closed-form above rank 10^5.
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -58,6 +58,7 @@ from .enumeration import frobenius_census
 from .index import reduction_chain
 from .io_render import (
     census_table,
+    check_ascii_width,
     document,
     payload_head,
     to_ascii,
@@ -68,6 +69,7 @@ from .verify import run_all
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
+STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
 
 
@@ -144,6 +146,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
+    if args.format == "ascii":
+        check_ascii_width(q)
     doc = document(q)
     if args.format == "json":
         print(to_json(doc))
@@ -171,6 +175,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
     if isinstance(q, SeaweedA):
         raise ValueError("reduce applies to series C/B descriptors")
+    if not args.closed_form and q.rank:  # a step lowers the rank; rank 0 takes none
+        _check_bounds(("--n without --closed-form", q.rank, STEPWISE_MAX_N))
     chain = reduction_chain(q, closed_form=args.closed_form)
     if args.json:
         _print_json(

@@ -2,7 +2,7 @@
 
 Two independent routes to the same number:
 
-* the component count of the meander graph (`ComponentReport.index`);
+* the component count of the meander graph (`meander.graph_index`);
 * rewriting of the leading parts, which strictly lowers the rank until one
   side is empty and the parabolic formula sum(part//2) + defect applies.
 
@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 
 from .composition import Composition, SeaweedA, SeaweedC
-from .meander import analyze, build_graph_a, build_graph_c
+from .meander import build_graph_a, build_graph_c, graph_index
 
 
 class Rule(enum.Enum):
@@ -31,12 +31,12 @@ class Rule(enum.Enum):
 
 def index_a_gl(q: SeaweedA) -> int:
     """Index of a gl(N) seaweed: 2*cycles + segments of its graph."""
-    return analyze(build_graph_a(q)).index
+    return graph_index(build_graph_a(q))
 
 
 def index_c(q: SeaweedC) -> int:
     """Index of an sp(2n) / so(2n+1) seaweed from its symmetric graph."""
-    return analyze(build_graph_c(q)).index
+    return graph_index(build_graph_c(q))
 
 
 def parabolic_index_c(rank: int, side: Composition) -> int:

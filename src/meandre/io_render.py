@@ -7,8 +7,8 @@ the descriptor and rejects files whose embedded graph, components or index
 disagree, in value or in JSON type.  `document` refuses a graph of more
 than GRAPH_MAX_VERTICES vertices, so the CLI and `from_json` share one size
 cap.  The ASCII and DOT renderers draw arcs above/below a vertex row; for
-symmetric graphs the centre line is marked.  `to_ascii` refuses a drawing
-wider than ASCII_MAX_WIDTH columns.
+symmetric graphs the centre line is marked.  `check_ascii_width` refuses
+a drawing wider than ASCII_MAX_WIDTH columns before any graph is built.
 """
 
 from __future__ import annotations
@@ -183,18 +183,24 @@ def _height(arc: Arc) -> int:
     return (j - i + 1) // 2
 
 
-def to_ascii(doc: GraphDocument) -> str:
-    """Monospace drawing: '*' vertices, box-drawing arcs, '|' centre line."""
-    g = doc.graph
-    n = g.vertex_count
-    if n == 0:
-        return ""
-    width = 2 * n - 1
+def check_ascii_width(q: Descriptor) -> None:
+    """Refuse, from the descriptor alone, a drawing over ASCII_MAX_WIDTH columns."""
+    width = 2 * (q.size if isinstance(q, SeaweedA) else 2 * q.rank) - 1
     if width > ASCII_MAX_WIDTH:
         raise ValueError(
             f"drawing needs {width} columns (limit {ASCII_MAX_WIDTH}); "
             "use the dot renderer for graphs this wide"
         )
+
+
+def to_ascii(doc: GraphDocument) -> str:
+    """Monospace drawing: '*' vertices, box-drawing arcs, '|' centre line."""
+    check_ascii_width(doc.descriptor)
+    g = doc.graph
+    n = g.vertex_count
+    if n == 0:
+        return ""
+    width = 2 * n - 1
     top_arcs, bottom_arcs = g.top_arcs, g.bottom_arcs
     rows_top = max(map(_height, top_arcs), default=0)
     rows_bottom = max(map(_height, bottom_arcs), default=0)

@@ -14,7 +14,8 @@ A graph is made only from compositions (`build_graph_a`, `build_graph_c`),
 so its arcs are in range, non-crossing and, for type C, mirror-symmetric by
 construction; nothing re-checks them.  Each side is stored as a partner
 array, filled in one pass over the parts: partner[v] is the other end of
-v's arc on that side, 0 if v has none.  `analyze` walks the two arrays.
+v's arc on that side, 0 if v has none.  `graph_index` walks them to count
+(the index routes), `analyze` (its reference) to list components.
 """
 
 from __future__ import annotations
@@ -114,14 +115,18 @@ class ComponentReport:
                 cycles += 1
             elif not (self.symmetric and c.sigma_stable):
                 loose += 1
-        if not self.symmetric:
-            return 2 * cycles + loose
-        if loose % 2:
-            raise AssertionError(
-                "segments not fixed by the mirror must come in pairs; "
-                f"got {loose} of them"
-            )
-        return cycles + loose // 2
+        return _index_from_counts(cycles, loose, self.symmetric)
+
+
+def _index_from_counts(cycles: int, loose: int, symmetric: bool) -> int:
+    if not symmetric:
+        return 2 * cycles + loose
+    if loose % 2:
+        raise AssertionError(
+            "segments not fixed by the mirror must come in pairs; "
+            f"got {loose} of them"
+        )
+    return cycles + loose // 2
 
 
 def build_graph_a(q: SeaweedA) -> MeanderGraph:
@@ -184,3 +189,33 @@ def analyze(g: MeanderGraph) -> ComponentReport:
         stable = symmetric and mirror - start in vertices
         comps.append(Component(vertices, closed, stable))
     return ComponentReport(tuple(comps), symmetric)
+
+
+def graph_index(g: MeanderGraph) -> int:
+    """`analyze(g).index`, counted on analyze's walk.  The mirror fixes no vertex,
+    so a segment is mirror-stable exactly when it swaps its ends (sum 2n+1)."""
+    n = g.vertex_count
+    top, bottom = g.top_partner, g.bottom_partner
+    mirror = n + 1 if g.symmetric else 0  # no two ends sum to 0
+    seen = bytearray(n + 1)
+    cycles = loose = 0
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue  # start itself is never met again: the loop moves on
+        end, here, there = start, top, bottom
+        v = top[start]
+        while v and v != start:
+            seen[v] = 1
+            end, here, there = v, there, here
+            v = here[v]
+        if v:
+            cycles += 1
+            continue
+        other, here, there = start, bottom, top  # a segment: walk back
+        v = bottom[start]
+        while v:
+            seen[v] = 1
+            other, here, there = v, there, here
+            v = here[v]
+        loose += end + other != mirror
+    return _index_from_counts(cycles, loose, g.symmetric)

@@ -132,12 +132,22 @@ def test_graph_ascii_contains_mirror(capsys):
     assert "*|*" in out
 
 
-def test_graph_ascii_over_width_exits_2(capsys):
-    code, out, err = run(
-        capsys, "graph", "--series", "C", "--n", "101", "--top", "", "--bottom", "", "--format", "ascii"
-    )
-    assert code == 2 and out == ""
-    assert "drawing needs 403 columns (limit 200)" in err
+def test_graph_ascii_over_width_exits_2(capsys, monkeypatch):
+    """Refused from the descriptor alone, before any graph is built."""
+
+    def no_graph(q):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("meandre.io_render.build_graph_a", no_graph)
+    monkeypatch.setattr("meandre.io_render.build_graph_c", no_graph)
+    for descriptor, width in [
+        (("--series", "C", "--n", "101", "--top", "", "--bottom", ""), 403),
+        (("--series", "C", "--n", "1000000", "--top", "", "--bottom", ""), 3999999),
+        (("--series", "A", "--top", "101", "--bottom", "101"), 201),
+    ]:
+        code, out, err = run(capsys, "graph", *descriptor, "--format", "ascii")
+        assert code == 2 and out == ""
+        assert f"drawing needs {width} columns (limit 200)" in err
 
 
 def test_graph_dot(capsys):
@@ -177,6 +187,26 @@ def test_reduce_parabolic_direct(capsys):
     assert code == 0
     assert "->" not in out
     assert "index: 4" in out
+
+
+def test_stepwise_reduce_above_its_rank_cap_exits_2_before_reducing(capsys, monkeypatch):
+    def no_chain(q, *, closed_form=False):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr("meandre.cli.reduction_chain", no_chain)
+    code, out, err = run(
+        capsys, "reduce", "--series", "C", "--n", "100001", "--top", "100000", "--bottom", "100001"
+    )
+    assert code == 2 and out == ""
+    assert "--n without --closed-form must lie in 1..100000, got 100001" in err
+
+
+def test_reduce_rank_cap_is_for_the_stepwise_flavour_only(capsys):
+    big = ("--series", "C", "--n", "1000000000", "--top", "999999999", "--bottom", "1000000000")
+    code, out, _ = run(capsys, "reduce", *big, "--closed-form")
+    assert code == 0 and out.endswith("index: 0\n")
+    code, out, _ = run(capsys, "reduce", "--series", "C", "--n", "0", "--top", "", "--bottom", "")
+    assert code == 0 and out.endswith("index: 0\n")
 
 
 def test_reduce_rejects_series_a(capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from meandre import make_seaweed_a, make_seaweed_c
-from meandre.composition import Composition, SeaweedA, SeaweedC
+from meandre.composition import Composition, SeaweedA, SeaweedC, Series
 from meandre.enumeration import compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
@@ -13,6 +13,7 @@ from meandre.meander import (
     analyze,
     build_graph_a,
     build_graph_c,
+    graph_index,
 )
 
 
@@ -251,6 +252,32 @@ def test_symmetric_report_index_needs_paired_loose_segments():
     assert ComponentReport((left, right), symmetric=True).index == 1
     with pytest.raises(AssertionError, match="must come in pairs; got 1"):
         ComponentReport((left,), symmetric=True).index
+
+
+def test_graph_index_matches_analyze_on_every_c_b_descriptor_to_rank_7():
+    for series in Series:
+        for n in range(0, 8):
+            for q in seaweed_pairs(n):
+                g = build_graph_c(SeaweedC(n, q.top, q.bottom, series))
+                assert graph_index(g) == analyze(g).index, (series, q)
+
+
+def test_graph_index_matches_analyze_on_every_gl_pair_to_size_8():
+    for size in range(1, 9):
+        comps = list(compositions_of(size))
+        for top in comps:
+            for bottom in comps:
+                g = build_graph_a(SeaweedA(top, bottom))
+                assert graph_index(g) == analyze(g).index, (top, bottom)
+
+
+def test_odd_loose_segments_fail_on_both_graph_routes():
+    # Segments {1,2}, {3} and {4}: none has ends summing to 5, so three are loose.
+    g = MeanderGraph(4, (0, 2, 1, 0, 0), NO_ARCS, symmetric=True)
+    with pytest.raises(AssertionError, match="must come in pairs; got 3"):
+        analyze(g).index
+    with pytest.raises(AssertionError, match="must come in pairs; got 3"):
+        graph_index(g)
 
 
 def test_symmetric_invariants_exhaustive():

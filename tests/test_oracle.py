@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from meandre import index_c, index_oracle, make_seaweed_c, oracle
 from meandre.enumeration import seaweed_pairs
+from meandre.composition import symmetrize
 from meandre.oracle import build_seaweed_matrices, integer_rank
 
 
@@ -208,3 +209,54 @@ def test_oracle_matches_graph_exhaustively_to_rank_2():
 def test_oracle_matches_graph_on_rank_3_slice():
     for q in list(seaweed_pairs(3))[::7]:
         assert index_oracle(q, 5) == index_c(q)
+
+
+def direct_seaweed_matrices(q):
+    """(elements, structure) as built before the per-rank table: from the
+    seaweed's own admissible positions, expanding only the brackets of
+    pairs whose matrix product can be nonzero."""
+    n = q.rank
+    size = 2 * n
+    doubled = symmetrize(q)
+    blk_top = [b for b, part in enumerate(doubled.top.parts) for _ in range(part)]
+    blk_bottom = [b for b, part in enumerate(doubled.bottom.parts) for _ in range(part)]
+    eps = [1 if i < n else -1 for i in range(size)]
+    elements = []
+    for i in range(size):
+        for j in range(size):
+            pi, pj = size - 1 - j, size - 1 - i
+            admissible = blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
+            if not admissible or (pi, pj) < (i, j):
+                continue
+            if (pi, pj) == (i, j):
+                elements.append(((i, j, 1),))
+            else:
+                elements.append(((i, j, 1), (pi, pj, -eps[i] * eps[j])))
+    in_row = [set() for _ in range(size)]
+    for k, entries in enumerate(elements):
+        for i, _, _ in entries:
+            in_row[i].add(k)
+    rep_of = {x[0][:2]: k for k, x in enumerate(elements)}
+    structure = {}
+    for u, x in enumerate(elements):
+        for v in sorted(set().union(*(in_row[j] for _, j, _ in x))):
+            if v <= u:
+                continue
+            bracket = oracle._sparse_bracket(x, elements[v])
+            if not bracket:
+                continue
+            coeffs = oracle._expand(bracket, rep_of, elements)
+            if coeffs:
+                structure[(u, v)] = coeffs
+    return tuple(elements), structure
+
+
+def test_restricted_table_equals_the_direct_build_to_rank_5():
+    oracle._sp_table.cache_clear()
+    for n in range(0, 6):
+        for q in seaweed_pairs(n):
+            basis = build_seaweed_matrices(q, max_rank=5)
+            elements, structure = direct_seaweed_matrices(q)
+            assert basis.elements == elements, q
+            assert list(basis.structure.items()) == list(structure.items()), q
+    assert oracle._sp_table.cache_info().currsize == 6  # one table per rank
