@@ -16,7 +16,7 @@ reduce
 census
     The table of Frobenius class counts by rank and central-arc count,
     counted by a memoized reduction DP: ranks 1-9 in well under a second,
-    ranks 1-20 in about 1.4 s.
+    ranks 1-20 in about 1.8 s.
 
 verify
     Cross-checks: graph vs reduction indices, the Kirillov-form oracle, and
@@ -67,7 +67,7 @@ from .io_render import (
 )
 from .verify import run_all
 
-CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.4 s
+CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7

@@ -48,12 +48,11 @@ def parse_composition(text: str) -> Composition:
     parts = []
     for token in text.split(","):
         token = token.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            raise ValueError(
-                f"invalid composition part {token!r}: not an integer"
-            ) from None
+        # ASCII digits only: int() would also take "+2", "1_0" and "٣".
+        digits = token.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"invalid composition part {token!r}: not an integer")
+        value = int(token)
         if value < 1:
             raise ValueError(f"composition part must be >= 1, got {token!r}")
         parts.append(value)

@@ -16,7 +16,7 @@ Two routes give the census, one counting and one listing:
   step only rewrites the leading parts, so the count walks the steps on
   (rank, forced parts and free total of each side) and chooses a part only
   when a side's forced parts run out; the count is memoized at those
-  choices.  Rows 1-20 take about a second.
+  choices.  Rows 1-20 take about 1.8 s (`census --n 20`, 2-core x86).
 * `frobenius_seaweeds` lists the classes by building and analyzing the
   meander graph of each of the 4^n pairs.  It is the reference the count
   is checked against.
@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .composition import Composition, SeaweedA, SeaweedC, canonical_pair
-from .index import closed_form_head, index_c
+from .index import closed_form_step, index_c
 
 def composition_from_mask(m: int, mask: int) -> Composition:
     """Composition of m cut at the gaps set in mask (MSB = leftmost gap)."""
@@ -114,9 +114,7 @@ def _index_zero_count(
             return 0  # a split-equal step adds a1 > 0 to the index
         if top[0] > bottom[0]:
             top, top_free, bottom, bottom_free = bottom, bottom_free, top, top_free
-        a1 = top[0]
-        _, head = closed_form_head(a1, bottom[0])
-        rank, top, bottom = rank - a1, top[1:], head + bottom[1:]
+        _, rank, top, bottom = closed_form_step(rank, top, bottom)
     # A side with no forced part left but a positive free total goes first.
     if top or not top_free:
         top, top_free, bottom, bottom_free = bottom, bottom_free, top, top_free

@@ -9,6 +9,9 @@ Two independent routes to the same number:
 One step function, `reduce_step`, serves both rewriting flavours, which
 must agree: the three-case step and (closed_form=True) the collapsed step
 that jumps over all "large" cases at once using an integer witness p.
+The collapsed step is defined once, on part tuples, by `closed_form_step`;
+the census DP in `enumeration` walks the same function.  The three-case
+rules stay separate arithmetic, so the two flavours check each other.
 `reduction_chain` records every step so the routes can be replayed and
 cross-checked.
 """
@@ -78,28 +81,27 @@ class ReductionChain:
     total_index: int
 
 
-def closed_form_witness(a1: int, b1: int) -> int:
-    """The unique integer p >= 0 with p/(p+1) < a1/b1 <= (p+1)/(p+2).
+def closed_form_step(
+    rank: int, a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The collapsed step on part tuples: p "large" steps and one "small"
+    step at once.  Returns (p, rank, a, b) after the step.
 
-    Defined for 0 < a1 < b1; equals ceil(a1/(b1-a1)) - 1.
+    Defined for 0 < a1 < b1 (a1 = a[0], b1 = b[0]).  The witness is the
+    unique integer p >= 0 with p/(p+1) < a1/b1 <= (p+1)/(p+2), which equals
+    ceil(a1/(b1-a1)) - 1.  a1 is dropped and the rank falls by a1; the head
+    b1 becomes b1' = (p+1)*b1 - (p+2)*a1 and b1'' = (p+1)*a1 - p*b1, with b1'
+    omitted when zero; together they sum to b1 - a1.
     """
-    if not 0 < a1 < b1:
-        raise ValueError(f"witness needs 0 < a1 < b1, got a1={a1}, b1={b1}")
+    if not (a and b and 0 < a[0] < b[0]):
+        raise ValueError(f"closed-form step needs 0 < a1 < b1, got a={a}, b={b}")
+    a1, b1 = a[0], b[0]
     p = (a1 - 1) // (b1 - a1)
     assert p * b1 < (p + 1) * a1 and (p + 2) * a1 <= (p + 1) * b1
-    return p
-
-
-def closed_form_head(a1: int, b1: int) -> tuple[int, tuple[int, ...]]:
-    """Witness p and the parts that replace the bottom head b1 when a1 < b1.
-
-    The head becomes b1' = (p+1)*b1 - (p+2)*a1 and b1'' = (p+1)*a1 - p*b1,
-    with b1' omitted when zero; together they sum to b1 - a1.
-    """
-    p = closed_form_witness(a1, b1)
     b1_first = (p + 1) * b1 - (p + 2) * a1
     b1_second = (p + 1) * a1 - p * b1
-    return p, ((b1_second,) if b1_first == 0 else (b1_first, b1_second))
+    head = (b1_second,) if b1_first == 0 else (b1_first, b1_second)
+    return p, rank - a1, a[1:], head + b[1:]
 
 
 def reduce_step(q: SeaweedC, *, closed_form: bool = False) -> ReductionStep:
@@ -111,8 +113,8 @@ def reduce_step(q: SeaweedC, *, closed_form: bool = False) -> ReductionStep:
     a1 = top[0] and b1 = bottom[0]:
 
     * a1 = b1        -- a gl(a1) factor splits off; delta a1, drop both parts;
-    * closed_form    -- bottom head becomes `closed_form_head`, a1 dropped:
-                        p "large" steps and one "small" step at once;
+    * closed_form    -- `closed_form_step`: p "large" steps and one "small"
+                        step at once;
     * a1 <= b1/2     -- bottom head becomes (b1-2*a1, a1), zero part dropped;
     * b1/2 < a1 < b1 -- rank drops by b1-a1, heads become 2*a1-b1 and a1.
     """
@@ -126,9 +128,8 @@ def reduce_step(q: SeaweedC, *, closed_form: bool = False) -> ReductionStep:
         rule, rank, delta = Rule.SPLIT_EQUAL, q.rank - a1, a1
         top, bottom = a[1:], b[1:]
     elif closed_form:
-        p, head = closed_form_head(a1, b1)
-        rule, rank = Rule.CLOSED_FORM, q.rank - a1
-        top, bottom = a[1:], head + b[1:]
+        rule = Rule.CLOSED_FORM
+        p, rank, top, bottom = closed_form_step(q.rank, a, b)
     elif 2 * a1 <= b1:
         head = (a1,) if b1 == 2 * a1 else (b1 - 2 * a1, a1)
         rule, rank = Rule.CASE_SMALL, q.rank - a1

@@ -40,11 +40,10 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .composition import SeaweedC, symmetrize
+from .composition import SeaweedC, doubled
 
 Entry = tuple[int, int, int]  # (row, col, value), 0-based
 
-DEFAULT_MAX_RANK = 4
 COEFF_RANGE = 1000
 
 
@@ -89,21 +88,13 @@ def _sp_table(n: int) -> tuple[tuple[tuple[Entry, ...], ...], tuple[tuple, ...]]
     return tuple(elements), tuple(rows)
 
 
-def build_seaweed_matrices(q: SeaweedC, max_rank: int = DEFAULT_MAX_RANK) -> MatrixAlgebraBasis:
-    """Explicit integer-matrix basis of the seaweed inside sp(2n).
-
-    Refuses ranks above `max_rank` (pass a larger bound explicitly for big
-    builds; the default keeps every matrix at most 8 x 8).
-    """
+def build_seaweed_matrices(q: SeaweedC) -> MatrixAlgebraBasis:
+    """Explicit integer-matrix basis of the seaweed inside sp(2n)."""
     n = q.rank
-    if n > max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the configured bound {max_rank}; "
-            "pass a larger max_rank to build anyway"
-        )
-    doubled = symmetrize(q)
-    blk_top = [b for b, part in enumerate(doubled.top.parts) for _ in range(part)]
-    blk_bottom = [b for b, part in enumerate(doubled.bottom.parts) for _ in range(part)]
+    top = doubled(q.top, q.top_defect)
+    bottom = doubled(q.bottom, q.bottom_defect)
+    blk_top = [b for b, part in enumerate(top) for _ in range(part)]
+    blk_bottom = [b for b, part in enumerate(bottom) for _ in range(part)]
 
     def admissible(i: int, j: int) -> bool:
         return blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
@@ -213,13 +204,7 @@ def integer_rank(upper: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def index_oracle(
-    q: SeaweedC,
-    samples: int = 5,
-    *,
-    seed: int | None = 0,
-    max_rank: int = DEFAULT_MAX_RANK,
-) -> int:
+def index_oracle(q: SeaweedC, samples: int = 5, *, seed: int | None = 0) -> int:
     """dim q minus the best Kirillov-form rank over `samples` random functionals.
 
     Functional coordinates are drawn uniformly from [-1000, 1000] against
@@ -227,7 +212,7 @@ def index_oracle(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    basis = build_seaweed_matrices(q, max_rank)
+    basis = build_seaweed_matrices(q)
     rng = random.Random(seed)
     dim = basis.dimension
     # An alternating form has even rank, so no sample can beat this.

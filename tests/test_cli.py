@@ -34,6 +34,7 @@ CLI_GOLDENS = {
     "census_5.txt": ("census", "--n", "5"),
     "census_5.json": ("census", "--n", "5", "--json"),
     "census_5_ordered.txt": ("census", "--n", "5", "--ordered"),
+    "census_20.json": ("census", "--n", "20", "--json"),
 }
 
 
@@ -85,6 +86,12 @@ def test_index_validation_error_exits_2(capsys):
     code, _, err = run(capsys, "index", "--series", "C", "--n", "2", "--top", "3", "--bottom", "")
     assert code == 2
     assert "exceeds rank" in err
+
+
+def test_index_non_ascii_digit_part_exits_2(capsys):
+    code, out, err = run(capsys, "index", "--series", "C", "--n", "12", "--top", "1_0", "--bottom", "+2, ٣")
+    assert code == 2 and out == ""
+    assert "not an integer" in err
 
 
 def test_index_empty_series_a_exits_2(capsys):

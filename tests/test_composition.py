@@ -40,6 +40,15 @@ def test_parse_rejects_noninteger():
         parse_composition("2,x")
 
 
+@pytest.mark.parametrize("token, parts", [("1_0", None), ("+2", None), ("٣", None), (" 3 ", (3,))])
+def test_parse_takes_ascii_digits_only(token, parts):
+    if parts is None:
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_composition(f"2,{token}")
+    else:
+        assert parse_composition(token).parts == parts
+
+
 def test_composition_rejects_bad_parts():
     with pytest.raises(ValueError):
         Composition((1, 0))

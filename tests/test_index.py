@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
 from meandre.composition import Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
-from meandre.index import Rule, closed_form_witness, parabolic_index_c, reduce_step
+from meandre.index import Rule, closed_form_step, parabolic_index_c, reduce_step
 from meandre.meander import analyze, build_graph_a, build_graph_c
 
 
@@ -182,15 +182,26 @@ def test_closed_form_step_is_large_steps_then_one_small_step():
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
-def test_closed_form_witness_bounds(a1, spread):
+def test_closed_form_step_bounds(a1, spread):
     b1 = a1 + spread
-    p = closed_form_witness(a1, b1)
+    p, rank, a, b = closed_form_step(b1 + 1, (a1, 2), (b1, 3))
     assert p >= 0
     assert p * b1 < (p + 1) * a1 <= (p + 1) * b1 - a1
     # uniqueness: neighbours violate one of the bounds
     for bad in (p - 1, p + 1):
         if bad >= 0:
             assert not (bad * b1 < (bad + 1) * a1 and (bad + 2) * a1 <= (bad + 1) * b1)
+    # a1 goes, the rank falls by a1 and the head keeps the bottom total
+    assert (rank, a, b[-1]) == (b1 + 1 - a1, (2,), 3)
+    assert sum(b[:-1]) == b1 - a1 and all(part > 0 for part in b[:-1])
+
+
+@pytest.mark.parametrize(
+    "a, b", [((3,), (3,)), ((4, 1), (3,)), ((0,), (2,)), ((-1,), (2,)), ((), (2,)), ((1,), ())]
+)
+def test_closed_form_step_needs_a1_below_b1(a, b):
+    with pytest.raises(ValueError, match="0 < a1 < b1"):
+        closed_form_step(5, a, b)
 
 
 def test_strip_central_circles():

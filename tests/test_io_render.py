@@ -129,6 +129,13 @@ def test_missing_field_rejected():
         from_json('{"type": "C", "n": 2}')
 
 
+def test_signed_part_rejected_as_non_integer():
+    data = json.loads(to_json(document(make_seaweed_c(2, "1", "2"))))
+    data["top"] = "+1"
+    with pytest.raises(ValueError, match="not an integer"):
+        from_json(json.dumps(data))
+
+
 def test_malformed_field_types_rejected():
     data = json.loads(to_json(document(make_seaweed_c(2, "1", "2"))))
     data["top"] = 7

@@ -162,13 +162,6 @@ def test_elements_are_independent():
         assert support - others
 
 
-def test_build_refuses_large_rank_by_default():
-    with pytest.raises(ValueError, match="exceeds the configured bound"):
-        build_seaweed_matrices(make_seaweed_c(5, "", ""))
-    # explicit override works
-    assert build_seaweed_matrices(make_seaweed_c(5, "", ""), max_rank=5).dimension == 55
-
-
 def test_index_oracle_known_values():
     assert index_oracle(make_seaweed_c(1, "1", "1")) == 1  # abelian
     assert index_oracle(make_seaweed_c(1, "", "1")) == 0  # Frobenius Borel
@@ -255,7 +248,7 @@ def test_restricted_table_equals_the_direct_build_to_rank_5():
     oracle._sp_table.cache_clear()
     for n in range(0, 6):
         for q in seaweed_pairs(n):
-            basis = build_seaweed_matrices(q, max_rank=5)
+            basis = build_seaweed_matrices(q)
             elements, structure = direct_seaweed_matrices(q)
             assert basis.elements == elements, q
             assert list(basis.structure.items()) == list(structure.items()), q
