@@ -4,7 +4,7 @@ Subcommands
 -----------
 index
     Index of a seaweed (gl and sl values for series A, cycle/segment
-    breakdown for series C/B).
+    breakdown for series C/B), read off the reduction walk: no graph.
 
 graph
     The meander graph of a seaweed as text, json, ascii art or graphviz dot.
@@ -34,10 +34,11 @@ Usage examples
 Caps: census --n at most 20, verify --max-n and --census-max-n at most 8,
 --oracle-max-n at most 6; they are constants, and larger ranks go through
 the library.  verify draws 5 oracle samples per seaweed (a constant);
---seed seeds the sampling (default 0).  index and graph refuse a graph of
-more than 2,000,000 vertices (rank 10^6 for C/B; io_render.document's cap)
-with exit 2, as do graph --format ascii, before building a graph, on a
-drawing over 200 columns and reduce without --closed-form above rank 10^5.
+--seed seeds the sampling (default 0).  index answers at any rank.  graph
+refuses a graph of more than 2,000,000 vertices (rank 10^6 for C/B;
+io_render.document's cap) with exit 2, as do graph --format ascii, before
+building a graph, on a drawing over 200 columns and reduce without
+--closed-form above rank 10^5.
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -47,15 +48,9 @@ import argparse
 import json
 import sys
 
-from .composition import (
-    SeaweedA,
-    SeaweedC,
-    Series,
-    make_seaweed_a,
-    make_seaweed_c,
-)
+from .composition import SeaweedA, SeaweedC, Series, make_seaweed_a, make_seaweed_c, parse_int
 from .enumeration import frobenius_census
-from .index import reduction_chain
+from .index import component_counts, reduction_chain
 from .io_render import (
     census_table,
     check_ascii_width,
@@ -107,35 +102,16 @@ def _banner(q: SeaweedA | SeaweedC) -> str:
 
 def cmd_index(args: argparse.Namespace) -> int:
     q = _build_descriptor(args)
-    doc = document(q)
-    report = doc.report
+    c = component_counts(q)  # builds no graph, so any rank answers
+    counts = {"cycles": c.cycles, "segments": c.stable + c.loose}
+    lines = [f"cycles: {c.cycles}", f"segments: {c.stable + c.loose}"]
     if isinstance(q, SeaweedA):
-        fields = {
-            "index_gl": doc.index,
-            "index_sl": doc.index - 1,
-            "cycles": report.cycles,
-            "segments": report.segments,
-        }
-        lines = [
-            f"index (gl): {doc.index}",
-            f"index (sl): {doc.index - 1}",
-            f"cycles: {report.cycles}",
-            f"segments: {report.segments}",
-        ]
+        fields = {"index_gl": c.index, "index_sl": c.index - 1, **counts}
+        lines = [f"index (gl): {c.index}", f"index (sl): {c.index - 1}", *lines]
     else:
-        fields = {
-            "index": doc.index,
-            "cycles": report.cycles,
-            "segments": report.segments,
-            "sigma_stable_segments": report.sigma_stable_segments,
-        }
-        lines = [
-            f"index: {doc.index}",
-            f"cycles: {report.cycles}",
-            f"segments: {report.segments} "
-            f"(mirror-stable {report.sigma_stable_segments}, "
-            f"other {report.loose_segments})",
-        ]
+        fields = {"index": c.index, **counts, "sigma_stable_segments": c.stable}
+        lines = [f"index: {c.index}", *lines]
+        lines[-1] += f" (mirror-stable {c.stable}, other {c.loose})"
     if args.json:
         _print_json({**payload_head(q), **fields})
         return 0
@@ -251,7 +227,7 @@ def _add_descriptor_flags(parser: argparse.ArgumentParser) -> None:
         default="C",
         help="A = gl(N); C = sp(2n); B = so(2n+1), same graphs and index as C",
     )
-    parser.add_argument("--n", type=int, default=None, help="rank n (series C/B)")
+    parser.add_argument("--n", type=parse_int, default=None, help="rank n (series C/B)")
     parser.add_argument("--top", default="", help='top composition, e.g. "3,3" ("" = empty)')
     parser.add_argument("--bottom", default="", help='bottom composition ("" = empty)')
 
@@ -289,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_census = sub.add_parser("census", help="Frobenius class counts by rank")
-    p_census.add_argument("--n", type=int, required=True, help="last rank to tabulate")
+    p_census.add_argument("--n", type=parse_int, required=True, help="last rank to tabulate")
     p_census.add_argument("--json", action="store_true", help="machine-readable output")
     p_census.add_argument(
         "--ordered",
@@ -300,22 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-check suites")
     p_verify.add_argument(
-        "--max-n", type=int, default=6, help="rank bound for the index cross-check"
+        "--max-n", type=parse_int, default=6, help="rank bound for the index cross-check"
     )
     p_verify.add_argument(
         "--oracle-max-n",
-        type=int,
+        type=parse_int,
         default=3,
         help="exhaustive rank bound for the Kirillov oracle (plus 50 descriptors one rank up)",
     )
     p_verify.add_argument(
         "--census-max-n",
-        type=int,
+        type=parse_int,
         default=7,
         help="rank bound for the per-element census checks "
         "(tail identities use rows up to max(9, this bound))",
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p_verify.add_argument("--seed", type=parse_int, default=0, help="random seed (default 0)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -40,6 +40,15 @@ class Composition:
         return self.to_text() or EMPTY_DISPLAY
 
 
+def parse_int(text: str) -> int:
+    """Parse an integer: ASCII digits with an optional leading "-".  int()
+    would also take "+2", "1_0", " 2" and "٣"."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def parse_composition(text: str) -> Composition:
     """Parse "a1,a2,...,as"; "" (or "∅") denotes the empty composition."""
     text = text.strip()
@@ -48,11 +57,10 @@ def parse_composition(text: str) -> Composition:
     parts = []
     for token in text.split(","):
         token = token.strip()
-        # ASCII digits only: int() would also take "+2", "1_0" and "٣".
-        digits = token.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"invalid composition part {token!r}: not an integer")
-        value = int(token)
+        try:
+            value = parse_int(token)
+        except ValueError:
+            raise ValueError(f"invalid composition part {token!r}: not an integer") from None
         if value < 1:
             raise ValueError(f"composition part must be >= 1, got {token!r}")
         parts.append(value)

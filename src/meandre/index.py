@@ -6,23 +6,23 @@ Two independent routes to the same number:
 * rewriting of the leading parts, which strictly lowers the rank until one
   side is empty and the parabolic formula sum(part//2) + defect applies.
 
-One step function, `reduce_step`, serves both rewriting flavours, which
-must agree: the three-case step and (closed_form=True) the collapsed step
-that jumps over all "large" cases at once using an integer witness p.
-The collapsed step is defined once, on part tuples, by `closed_form_step`;
-the census DP in `enumeration` walks the same function.  The three-case
-rules stay separate arithmetic, so the two flavours check each other.
-`reduction_chain` records every step so the routes can be replayed and
-cross-checked.
+The rewriting is one walker, `walk`, on two part stacks (lists, leading
+part last): O(1) per step, about parts x log(part size) steps in all.  It
+serves both flavours, separate arithmetic that must agree: the three-case
+step and the collapsed `closed_form_step` with its witness p, which the
+census DP in `enumeration` calls too.  `reduction_chain` records every
+step so the routes can be replayed; `component_counts` folds the walk into
+the graph's component counts without building the graph.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .composition import Composition, SeaweedA, SeaweedC
-from .meander import build_graph_a, build_graph_c, graph_index
+from .meander import _index_from_counts, build_graph_a, build_graph_c, graph_index
 
 
 class Rule(enum.Enum):
@@ -81,77 +81,109 @@ class ReductionChain:
     total_index: int
 
 
-def closed_form_step(
-    rank: int, a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The collapsed step on part tuples: p "large" steps and one "small"
-    step at once.  Returns (p, rank, a, b) after the step.
+def closed_form_step(rank: int, a: list[int], b: list[int]) -> tuple[int, int]:
+    """The collapsed step on part stacks (leading part last): p "large"
+    steps and one "small" step at once.  Returns (p, rank after the step).
 
-    Defined for 0 < a1 < b1 (a1 = a[0], b1 = b[0]).  The witness is the
-    unique integer p >= 0 with p/(p+1) < a1/b1 <= (p+1)/(p+2), which equals
-    ceil(a1/(b1-a1)) - 1.  a1 is dropped and the rank falls by a1; the head
-    b1 becomes b1' = (p+1)*b1 - (p+2)*a1 and b1'' = (p+1)*a1 - p*b1, with b1'
-    omitted when zero; together they sum to b1 - a1.
+    Defined for 0 < a1 < b1 (a1 = a[-1], b1 = b[-1]); the witness p >= 0 has
+    p/(p+1) < a1/b1 <= (p+1)/(p+2), so p = ceil(a1/(b1-a1)) - 1.  Pops a1 and
+    b1, then pushes b1'' = (p+1)*a1 - p*b1 and b1' = (p+1)*b1 - (p+2)*a1 (if
+    non-zero), which sum to b1 - a1; the rank falls by a1.
     """
-    if not (a and b and 0 < a[0] < b[0]):
+    if not (a and b and 0 < a[-1] < b[-1]):
         raise ValueError(f"closed-form step needs 0 < a1 < b1, got a={a}, b={b}")
-    a1, b1 = a[0], b[0]
+    a1, b1 = a.pop(), b[-1]
     p = (a1 - 1) // (b1 - a1)
     assert p * b1 < (p + 1) * a1 and (p + 2) * a1 <= (p + 1) * b1
-    b1_first = (p + 1) * b1 - (p + 2) * a1
-    b1_second = (p + 1) * a1 - p * b1
-    head = (b1_second,) if b1_first == 0 else (b1_first, b1_second)
-    return p, rank - a1, a[1:], head + b[1:]
+    b[-1] = (p + 1) * a1 - p * b1  # pop b1, push b1''
+    if first := (p + 1) * b1 - (p + 2) * a1:
+        b.append(first)
+    return p, rank - a1
 
 
-def reduce_step(q: SeaweedC, *, closed_form: bool = False) -> ReductionStep:
-    """One rewriting step, three-case or (closed_form=True) collapsed.
+def walk(rank: int, a: list[int], b: list[int], *, closed_form: bool) -> Iterator[tuple]:
+    """Rewrite the part stacks `a` and `b` in place until one is empty.
 
-    Requires both sides non-empty.  If the leading top part is the larger,
-    the sides are exchanged first ((a|b) and (b|a) are isomorphic); the step
-    records `swapped` and keeps the unswapped q as `before`.  Then, with
-    a1 = top[0] and b1 = bottom[0]:
+    Before each step the sides are exchanged when a1 > b1 ((a|b) and (b|a)
+    are isomorphic).  Then, with a1 = a[-1] and b1 = b[-1]:
 
-    * a1 = b1        -- a gl(a1) factor splits off; delta a1, drop both parts;
-    * closed_form    -- `closed_form_step`: p "large" steps and one "small"
-                        step at once;
+    * a1 = b1        -- a gl(a1) factor splits off; delta a1, pop both parts;
+    * closed_form    -- `closed_form_step`;
     * a1 <= b1/2     -- bottom head becomes (b1-2*a1, a1), zero part dropped;
     * b1/2 < a1 < b1 -- rank drops by b1-a1, heads become 2*a1-b1 and a1.
+
+    Yields (rule, p, swapped, delta, rank, (top, bottom)) after each step;
+    the stacks are live, so a caller keeping them must copy.
     """
-    if not q.top.parts or not q.bottom.parts:
-        raise ValueError(f"terminal: {q} is parabolic and cannot be reduced")
-    swapped = q.top.parts[0] > q.bottom.parts[0]
-    a, b = (q.bottom.parts, q.top.parts) if swapped else (q.top.parts, q.bottom.parts)
-    a1, b1 = a[0], b[0]
-    delta, p = 0, None
-    if a1 == b1:
-        rule, rank, delta = Rule.SPLIT_EQUAL, q.rank - a1, a1
-        top, bottom = a[1:], b[1:]
-    elif closed_form:
-        rule = Rule.CLOSED_FORM
-        p, rank, top, bottom = closed_form_step(q.rank, a, b)
-    elif 2 * a1 <= b1:
-        head = (a1,) if b1 == 2 * a1 else (b1 - 2 * a1, a1)
-        rule, rank = Rule.CASE_SMALL, q.rank - a1
-        top, bottom = a[1:], head + b[1:]
-    else:
-        rule, rank = Rule.CASE_LARGE, q.rank - b1 + a1
-        top, bottom = (2 * a1 - b1,) + a[1:], (a1,) + b[1:]
-    after = SeaweedC(rank, Composition(top), Composition(bottom), q.series)
-    return ReductionStep(rule, q, after, delta, swapped, p)
+    while a and b:
+        swapped = a[-1] > b[-1]
+        if swapped:
+            a, b = b, a
+        a1, b1 = a[-1], b[-1]
+        p, delta = None, 0
+        if a1 == b1:
+            del a[-1], b[-1]
+            rule, rank, delta = Rule.SPLIT_EQUAL, rank - a1, a1
+        elif closed_form:
+            rule = Rule.CLOSED_FORM
+            p, rank = closed_form_step(rank, a, b)
+        elif 2 * a1 <= b1:
+            del a[-1]
+            b[-1] = a1
+            if b1 > 2 * a1:
+                b.append(b1 - 2 * a1)
+            rule, rank = Rule.CASE_SMALL, rank - a1
+        else:
+            a[-1], b[-1] = 2 * a1 - b1, a1
+            rule, rank = Rule.CASE_LARGE, rank - b1 + a1
+        yield rule, p, swapped, delta, rank, (a, b)
 
 
 def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
-    """Reduce with `reduce_step` until one side is empty, then close with the
-    parabolic formula."""
+    """Walk until one side is empty, then close with the parabolic formula.
+
+    Every step records both descriptors, so the chain's size (and time) is
+    still quadratic in the number of parts; `component_counts` is not.
+    """
     steps: list[ReductionStep] = []
     cur = q
-    while cur.top.parts and cur.bottom.parts:
-        step = reduce_step(cur, closed_form=closed_form)
-        assert step.after.rank < cur.rank  # termination
-        steps.append(step)
-        cur = step.after
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
+        after = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
+        steps.append(ReductionStep(rule, cur, after, delta, swapped, p))
+        cur = after
     side = cur.top if cur.top.parts else cur.bottom
     terminal_index = parabolic_index_c(cur.rank, side)
     total = sum(step.index_delta for step in steps) + terminal_index
     return ReductionChain(tuple(steps), cur, terminal_index, total)
+
+
+class ComponentCounts(NamedTuple):
+    """The index and component counts of a meander graph: cycles,
+    mirror-stable segments and every other segment (all of a gl graph's)."""
+
+    index: int
+    cycles: int
+    stable: int
+    loose: int
+
+
+def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:
+    """The counts of `analyze(graph)`, read off the closed-form walk.
+
+    A split part a1 adds a1//2 cycles and a1 mod 2 segments, twice over in
+    the doubled type-C graph.  A type-C walk ends at a parabolic (side | ∅)
+    of rank r, which adds sum(p//2) + (r - total) cycles and one
+    mirror-stable segment per odd part; a gl walk empties both sides.
+    """
+    symmetric = isinstance(q, SeaweedC)
+    rank, twice = (q.rank, 2) if symmetric else (q.size, 1)
+    a, b = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    cycles = loose = 0
+    for _, _, _, delta, rank, _ in walk(rank, a, b, closed_form=True):
+        cycles += twice * (delta // 2)
+        loose += twice * (delta % 2)
+    side = a or b
+    cycles += sum(p // 2 for p in side) + rank - sum(side)
+    index = _index_from_counts(cycles, loose, symmetric)
+    return ComponentCounts(index, cycles, sum(p % 2 for p in side), loose)

@@ -149,14 +149,9 @@ def census_table(rows: list[CensusRow]) -> str:
     """The census as a text table: one line per rank with the class counts
     by central-arc number k ('-' where k > n), then the row total F_n."""
     nmax = rows[-1].n
-    cell = max(
-        len(str(v)) for row in rows for v in (*row.by_k, row.total, row.n)
-    )
-    cell = max(cell, len(str(nmax)))
+    cell = max(len(str(v)) for row in rows for v in (*row.by_k, row.total, row.n))
     label_width = max(3, len(str(nmax)))
-    header = "n\\k".ljust(label_width) + "".join(
-        f"{k:>{cell + 2}}" for k in range(1, nmax + 1)
-    )
+    header = "n\\k".ljust(label_width) + "".join(f"{k:>{cell + 2}}" for k in range(1, nmax + 1))
     header += " |" + f"{'F_n':>{cell + 2}}"
     lines = [header]
     for row in rows:

@@ -97,11 +97,6 @@ class ComponentReport:
         return sum(1 for c in self.components if not c.is_cycle and c.sigma_stable)
 
     @property
-    def loose_segments(self) -> int:
-        """Segments that are not fixed by the mirror reflection."""
-        return self.segments - self.sigma_stable_segments
-
-    @property
     def total_arcs(self) -> int:
         return sum(len(c.vertices) - (0 if c.is_cycle else 1) for c in self.components)
 

@@ -236,9 +236,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
                 if index_a_gl(SeaweedA(top, bottom)) == 1:
                     found[last] += 1
         row = frobenius_census(n)
-        for k in (1, 2):
-            if k > n:
-                continue
+        for k in range(1, min(n, 2) + 1):
             if found[k] != row.by_k[k - 1]:
                 return CheckResult(
                     name,
@@ -246,10 +244,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
                     f"n={n}, k={k}: {found[k]} single-segment gl graphs with "
                     f"last top part {k}, census says {row.by_k[k - 1]}",
                 )
-        # Sanity: the transfer really lands on those graphs.
-        for k in (1, 2):
-            if k > n:
-                continue
+            # Sanity: the transfer really lands on those graphs.
             for q in frobenius_seaweeds(n, k):
                 image = to_type_a(q)
                 if image.top.parts[-1] != k or index_a_gl(image) != 1:

@@ -30,3 +30,14 @@ def test_census_report_rejects_max_n_below_1(capsys, monkeypatch, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--max-n must be at least 1, got {max_n}" in captured.err
+
+
+@pytest.mark.parametrize("max_n", ["1_0", "+9"])
+def test_census_report_takes_ascii_digits_only(capsys, monkeypatch, max_n):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--max-n", max_n])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid parse_int value" in captured.err

@@ -1,12 +1,18 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meandre.cli
+import meandre.index
+import meandre.io_render
+import meandre.meander
+from meandre import index_c, make_seaweed_c
 from meandre.cli import main
 
 CLI_GOLDEN_DIR = Path(__file__).parent / "goldens" / "cli"
@@ -112,7 +118,7 @@ HUGE = "99999999999999999999"
 @pytest.mark.parametrize(
     "argv",
     [
-        ("index", "--series", "C", "--n", HUGE, "--top", "1", "--bottom", "1"),
+        ("graph", "--series", "C", "--n", HUGE, "--top", "1", "--bottom", "1"),
         ("graph", "--series", "A", "--top", HUGE, "--bottom", HUGE),
     ],
 )
@@ -120,6 +126,96 @@ def test_graph_over_vertex_cap_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "over the cap of 2000000" in err
+
+
+def test_index_answers_over_the_graph_cap(capsys):
+    code, out, _ = run(capsys, "index", "--series", "C", "--n", HUGE, "--top", "1", "--bottom", "1")
+    assert code == 0
+    # (1 | 1) splits off gl(1): one loose pair; the rest are central circles.
+    assert out.splitlines()[1:] == [
+        f"index: {HUGE}",
+        f"cycles: {int(HUGE) - 1}",
+        "segments: 2 (mirror-stable 0, other 2)",
+    ]
+
+
+def timed_index(capsys, *argv):
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "index", *argv)
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    return out.splitlines()[1:], elapsed
+
+
+def test_index_at_rank_10_18_answers_at_once(capsys):
+    n = 10**18
+    lines, elapsed = timed_index(capsys, "--n", str(n), "--top", str(n - 1), "--bottom", str(n))
+    assert lines == ["index: 0", "cycles: 0", "segments: 1 (mirror-stable 1, other 0)"]
+    assert elapsed < 1.0
+
+
+def test_index_on_fibonacci_parts_near_10_18(capsys):
+    """(F(k-1), F(k) | F(k+1)) in gl: consecutive Fibonacci numbers are
+    coprime, and a (a, b | a+b) seaweed has gl index gcd(a, b); the walk
+    takes about two Fibonacci indices per step."""
+    fib = [1, 2]
+    while fib[-1] < 10**18:
+        fib.append(fib[-1] + fib[-2])
+    a, b, total = fib[-3], fib[-2], fib[-1]
+    for g in (1, 6):
+        top, bottom = f"{g * a},{g * b}", str(g * total)
+        lines, elapsed = timed_index(capsys, "--series", "A", "--top", top, "--bottom", bottom)
+        assert lines[:2] == [f"index (gl): {g}", f"index (sl): {g - 1}"]
+        assert elapsed < 1.0
+
+
+def test_index_on_10_5_parts(capsys):
+    m = 10**5
+    top, bottom = ",".join(["1"] * m), ",".join(["2"] * m)
+    lines, elapsed = timed_index(capsys, "--n", str(2 * m), "--top", top, "--bottom", bottom)
+    assert elapsed < 2.0
+    q = make_seaweed_c(2 * m, top, bottom)
+    assert lines[0] == f"index: {index_c(q)}"
+
+
+def test_index_builds_no_graph(capsys, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for module in (meandre.meander, meandre.index, meandre.io_render, meandre.cli):
+        for name in ("build_graph_a", "build_graph_c", "document"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_graph)
+    for argv, golden in ((C_10, "index_c.txt"), (A_9, "index_a.txt"), (B_7, "index_b.txt")):
+        code, out, _ = run(capsys, "index", *argv)
+        assert code == 0
+        assert out == (CLI_GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--n", "1_0"),
+        ("census", "--n", "+5"),
+        ("census", "--n", " 5"),
+        ("index", "--series", "C", "--n", "+1_2", "--top", "10", "--bottom", "2,3"),
+        ("index", "--series", "C", "--n", "١٢", "--top", "10", "--bottom", "2,3"),
+        ("verify", "--max-n", "0x2"),
+        ("verify", "--seed", "1_0"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid parse_int value" in captured.err
+
+
+def test_negative_integer_option_is_out_of_range(capsys):
+    code, out, err = run(capsys, "census", "--n", "-1")
+    assert code == 2 and out == ""
+    assert "--n must lie in 1..20, got -1" in err
 
 
 def test_graph_json_roundtrips(capsys):
@@ -313,10 +409,10 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-# Ranks up to 8, two past the graph cap, and composition tokens, malformed
-# ones included.
+# Ranks up to 8, two past the graph cap, two that are not ASCII digits, and
+# composition tokens, malformed ones included.
 RANKS = st.integers(min_value=-1, max_value=8).map(str) | st.sampled_from(
-    ["1000000000", "99999999999999999999"]
+    ["1000000000", "99999999999999999999", "1_0", "+3"]
 )
 TOKENS = st.sampled_from(["", "0", "-1", "1,,2", "x", "∅", "1.5"]) | st.lists(
     st.integers(min_value=1, max_value=9), max_size=4

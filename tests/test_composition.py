@@ -8,6 +8,7 @@ from meandre.composition import (
     Series,
     canonical_pair,
     parse_composition,
+    parse_int,
     symmetrize,
 )
 from meandre.enumeration import compositions_of, seaweed_pairs
@@ -47,6 +48,17 @@ def test_parse_takes_ascii_digits_only(token, parts):
             parse_composition(f"2,{token}")
     else:
         assert parse_composition(token).parts == parts
+
+
+@pytest.mark.parametrize("text, value", [("12", 12), ("-3", -3), ("0", 0), ("007", 7)])
+def test_parse_int_takes_ascii_digits_with_optional_minus(text, value):
+    assert parse_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "+2", " 2", "2 ", "٣", "", "-", "--1", "1.0", "0x2"])
+def test_parse_int_refuses_what_int_would_take_or_not(text):
+    with pytest.raises(ValueError, match="is not an integer"):
+        parse_int(text)
 
 
 def test_composition_rejects_bad_parts():

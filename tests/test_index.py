@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
-from meandre.composition import Series, parse_composition
+from meandre.composition import SeaweedA, SeaweedC, Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
-from meandre.index import Rule, closed_form_step, parabolic_index_c, reduce_step
+from meandre.index import Rule, closed_form_step, component_counts, parabolic_index_c
 from meandre.meander import analyze, build_graph_a, build_graph_c
 
 
@@ -101,61 +101,65 @@ def test_loose_segments_always_even():
 # --- reduction steps --------------------------------------------------------
 
 
+def first_step(q, closed_form=False):
+    return reduction_chain(q, closed_form=closed_form).steps[0]
+
+
 def test_reduce_step_case_small():
-    step = reduce_step(make_seaweed_c(6, "1,1", "5"))
+    step = first_step(make_seaweed_c(6, "1,1", "5"))
     assert step.rule is Rule.CASE_SMALL
     assert step.after == make_seaweed_c(5, "1", "3,1")
     assert step.index_delta == 0
 
 
 def test_reduce_step_split_equal():
-    step = reduce_step(make_seaweed_c(5, "2,1", "2,2"))
+    step = first_step(make_seaweed_c(5, "2,1", "2,2"))
     assert step.rule is Rule.SPLIT_EQUAL
     assert step.index_delta == 2
     assert step.after == make_seaweed_c(3, "1", "2")
     # Equal leading parts split in the closed-form flavour too.
-    step = reduce_step(make_seaweed_c(4, "2", "2,1"), closed_form=True)
+    step = first_step(make_seaweed_c(4, "2", "2,1"), closed_form=True)
     assert step.rule is Rule.SPLIT_EQUAL
     assert step.witness_p is None
     assert step.after == make_seaweed_c(2, "", "1")
 
 
 def test_reduce_step_case_large():
-    step = reduce_step(make_seaweed_c(10, "3,3", "4,5"))
+    step = first_step(make_seaweed_c(10, "3,3", "4,5"))
     assert step.rule is Rule.CASE_LARGE
     assert step.after == make_seaweed_c(9, "2,3", "3,5")
 
 
 def test_reduce_step_drops_zero_part():
-    step = reduce_step(make_seaweed_c(8, "1,3", "2,5"))
+    step = first_step(make_seaweed_c(8, "1,3", "2,5"))
     assert step.rule is Rule.CASE_SMALL
     assert step.after == make_seaweed_c(7, "3", "1,5")
 
 
-def test_reduce_step_errors():
-    with pytest.raises(ValueError, match="terminal"):
-        reduce_step(make_seaweed_c(7, "2,3", ""))
-    with pytest.raises(ValueError, match="terminal"):
-        reduce_step(make_seaweed_c(7, "", "1,5"), closed_form=True)
+def test_parabolic_takes_no_reduce_step():
+    for q in (make_seaweed_c(7, "2,3", ""), make_seaweed_c(7, "", "1,5")):
+        for closed in (False, True):
+            chain = reduction_chain(q, closed_form=closed)
+            assert chain.steps == () and chain.terminal == q
 
 
 def test_reduce_step_swaps_sides_itself():
     q = make_seaweed_c(7, "3", "1,5")
     for closed in (False, True):
-        step = reduce_step(q, closed_form=closed)
+        step = first_step(q, closed_form=closed)
         assert step.swapped
         assert step.before == q
-        assert step.after == reduce_step(q.swap(), closed_form=closed).after
+        assert step.after == first_step(q.swap(), closed_form=closed).after
 
 
 def test_reduce_step_closed_examples():
-    step = reduce_step(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
+    step = first_step(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
     assert step.witness_p == 2
     assert step.after == make_seaweed_c(7, "3", "1,5")  # zero head part omitted
-    step = reduce_step(make_seaweed_c(6, "1,1", "5"), closed_form=True)
+    step = first_step(make_seaweed_c(6, "1,1", "5"), closed_form=True)
     assert step.witness_p == 0
     assert step.after == make_seaweed_c(5, "1", "3,1")
-    step = reduce_step(make_seaweed_c(2, "1", "2"), closed_form=True)
+    step = first_step(make_seaweed_c(2, "1", "2"), closed_form=True)
     assert step.witness_p == 0
     assert step.after == make_seaweed_c(1, "", "1")
 
@@ -169,14 +173,11 @@ def test_closed_form_step_is_large_steps_then_one_small_step():
             a, b = q.top.parts, q.bottom.parts
             if not (a and b and a[0] < b[0]):
                 continue
-            closed = reduce_step(q, closed_form=True)
+            closed = first_step(q, closed_form=True)
             rules = [Rule.CASE_LARGE] * closed.witness_p + [Rule.CASE_SMALL]
-            cur = q
-            for rule in rules:
-                step = reduce_step(cur)
-                assert (step.rule, step.swapped) == (rule, False), q
-                cur = step.after
-            assert cur == closed.after, q
+            steps = reduction_chain(q).steps[: len(rules)]
+            assert [(step.rule, step.swapped) for step in steps] == [(r, False) for r in rules], q
+            assert steps[-1].after == closed.after, q
             checked += 1
     assert checked == 7032  # every such descriptor of rank <= 7
 
@@ -184,7 +185,8 @@ def test_closed_form_step_is_large_steps_then_one_small_step():
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
 def test_closed_form_step_bounds(a1, spread):
     b1 = a1 + spread
-    p, rank, a, b = closed_form_step(b1 + 1, (a1, 2), (b1, 3))
+    a, b = [2, a1], [3, b1]  # part stacks: the leading part last
+    p, rank = closed_form_step(b1 + 1, a, b)
     assert p >= 0
     assert p * b1 < (p + 1) * a1 <= (p + 1) * b1 - a1
     # uniqueness: neighbours violate one of the bounds
@@ -192,16 +194,18 @@ def test_closed_form_step_bounds(a1, spread):
         if bad >= 0:
             assert not (bad * b1 < (bad + 1) * a1 and (bad + 2) * a1 <= (bad + 1) * b1)
     # a1 goes, the rank falls by a1 and the head keeps the bottom total
-    assert (rank, a, b[-1]) == (b1 + 1 - a1, (2,), 3)
-    assert sum(b[:-1]) == b1 - a1 and all(part > 0 for part in b[:-1])
+    assert (rank, a, b[0]) == (b1 + 1 - a1, [2], 3)
+    assert sum(b[1:]) == b1 - a1 and all(part > 0 for part in b[1:])
 
 
 @pytest.mark.parametrize(
     "a, b", [((3,), (3,)), ((4, 1), (3,)), ((0,), (2,)), ((-1,), (2,)), ((), (2,)), ((1,), ())]
 )
 def test_closed_form_step_needs_a1_below_b1(a, b):
+    stacks = list(a[::-1]), list(b[::-1])
     with pytest.raises(ValueError, match="0 < a1 < b1"):
-        closed_form_step(5, a, b)
+        closed_form_step(5, *stacks)
+    assert stacks == (list(a[::-1]), list(b[::-1]))  # nothing popped
 
 
 def test_strip_central_circles():
@@ -282,3 +286,53 @@ def test_three_routes_agree_exhaustively_to_rank_4():
             graph = index_c(q)
             assert reduction_chain(q).total_index == graph
             assert reduction_chain(q, closed_form=True).total_index == graph
+
+
+# --- component counts from the walk ------------------------------------------
+
+
+def assert_counts_match_analyze(q, graph):
+    report = analyze(graph)
+    counts = component_counts(q)
+    assert counts.index == report.index, q
+    assert counts.cycles == report.cycles, q
+    assert counts.stable == report.sigma_stable_segments, q
+    assert counts.stable + counts.loose == report.segments, q
+
+
+def test_component_counts_match_analyze_exhaustively():
+    """Every C/B descriptor of rank <= 7 and every gl pair of size <= 9."""
+    for n in range(0, 8):
+        for q in seaweed_pairs(n):
+            assert_counts_match_analyze(q, build_graph_c(q))
+    b = make_seaweed_c(7, "2,3", "", Series.SO_ODD)
+    assert component_counts(b) == component_counts(make_seaweed_c(7, "2,3", ""))
+    for size in range(1, 10):
+        comps = list(compositions_of(size))
+        for top in comps:
+            for bottom in comps:
+                q = SeaweedA(top, bottom)
+                assert_counts_match_analyze(q, build_graph_a(q))
+
+
+@st.composite
+def random_descriptors(draw, max_n=60):
+    """A C/B descriptor of rank <= max_n or a gl pair of size <= max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+
+    def comp(m):
+        mask = draw(st.integers(min_value=0, max_value=(1 << (m - 1)) - 1)) if m else 0
+        return composition_from_mask(m, mask)
+
+    if draw(st.booleans()):
+        return SeaweedA(comp(n), comp(n))
+    series = draw(st.sampled_from(Series))
+    totals = [draw(st.integers(min_value=0, max_value=n)) for _ in range(2)]
+    return SeaweedC(n, comp(totals[0]), comp(totals[1]), series)
+
+
+@given(random_descriptors())
+@settings(max_examples=200)
+def test_component_counts_match_analyze_at_random_ranks(q):
+    graph = build_graph_a(q) if isinstance(q, SeaweedA) else build_graph_c(q)
+    assert_counts_match_analyze(q, graph)
