@@ -14,13 +14,13 @@ import argparse
 import time
 
 from meandre import frobenius_census
-from meandre.composition import parse_int
+from meandre.cli import int_option
 from meandre.io_render import census_table
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=parse_int, default=16)
+    parser.add_argument("--max-n", type=int_option, default=16)
     args = parser.parse_args()
     if args.max_n < 1:
         parser.error(f"--max-n must be at least 1, got {args.max_n}")

@@ -37,8 +37,9 @@ the library.  verify draws 5 oracle samples per seaweed (a constant);
 --seed seeds the sampling (default 0).  index answers at any rank.  graph
 refuses a graph of more than 2,000,000 vertices (rank 10^6 for C/B;
 io_render.document's cap) with exit 2, as do graph --format ascii, before
-building a graph, on a drawing over 200 columns and reduce without
---closed-form above rank 10^5.
+building a graph, on a drawing over 200 columns, reduce without
+--closed-form above rank 10^5 and, in either flavour, reduce on a chain
+that would print over 10,000,000 parts (a count-only walk measures it first).
 Exit codes: 0 ok, 1 verification failure, 2 usage or validation error.
 """
 
@@ -50,7 +51,7 @@ import sys
 
 from .composition import SeaweedA, SeaweedC, Series, make_seaweed_a, make_seaweed_c, parse_int
 from .enumeration import frobenius_census
-from .index import component_counts, reduction_chain
+from .index import component_counts, reduction_chain, walk
 from .io_render import (
     census_table,
     check_ascii_width,
@@ -65,6 +66,7 @@ from .verify import run_all
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
+REDUCE_MAX_PARTS = 10_000_000  # reduce's parts: (1^2828 | 2^2828) prints 10.0 M in 4.6 s
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
 
 
@@ -73,6 +75,14 @@ def _check_bounds(*flags: tuple[str, int, int]) -> None:
     for name, value, cap in flags:
         if not 1 <= value <= cap:
             raise ValueError(f"{name} must lie in 1..{cap}, got {value}")
+
+
+def int_option(text: str) -> int:
+    """`parse_int` for an argparse option, which then shows parse_int's message."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _print_json(payload) -> None:
@@ -153,6 +163,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("reduce applies to series C/B descriptors")
     if not args.closed_form and q.rank:  # a step lowers the rank; rank 0 takes none
         _check_bounds(("--n without --closed-form", q.rank, STEPWISE_MAX_N))
+    printed = 0  # the parts of each step's descriptor, plus one per step
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    for *_, (a, b) in walk(q.rank, *stacks, closed_form=args.closed_form):
+        printed += len(a) + len(b) + 1
+        if printed > REDUCE_MAX_PARTS:
+            raise ValueError(f"the chain would print over {REDUCE_MAX_PARTS:,} parts")
     chain = reduction_chain(q, closed_form=args.closed_form)
     if args.json:
         _print_json(
@@ -227,7 +243,7 @@ def _add_descriptor_flags(parser: argparse.ArgumentParser) -> None:
         default="C",
         help="A = gl(N); C = sp(2n); B = so(2n+1), same graphs and index as C",
     )
-    parser.add_argument("--n", type=parse_int, default=None, help="rank n (series C/B)")
+    parser.add_argument("--n", type=int_option, default=None, help="rank n (series C/B)")
     parser.add_argument("--top", default="", help='top composition, e.g. "3,3" ("" = empty)')
     parser.add_argument("--bottom", default="", help='bottom composition ("" = empty)')
 
@@ -265,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_census = sub.add_parser("census", help="Frobenius class counts by rank")
-    p_census.add_argument("--n", type=parse_int, required=True, help="last rank to tabulate")
+    p_census.add_argument("--n", type=int_option, required=True, help="last rank to tabulate")
     p_census.add_argument("--json", action="store_true", help="machine-readable output")
     p_census.add_argument(
         "--ordered",
@@ -276,22 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-check suites")
     p_verify.add_argument(
-        "--max-n", type=parse_int, default=6, help="rank bound for the index cross-check"
+        "--max-n", type=int_option, default=6, help="rank bound for the index cross-check"
     )
     p_verify.add_argument(
         "--oracle-max-n",
-        type=parse_int,
+        type=int_option,
         default=3,
         help="exhaustive rank bound for the Kirillov oracle (plus 50 descriptors one rank up)",
     )
     p_verify.add_argument(
         "--census-max-n",
-        type=parse_int,
+        type=int_option,
         default=7,
         help="rank bound for the per-element census checks "
         "(tail identities use rows up to max(9, this bound))",
     )
-    p_verify.add_argument("--seed", type=parse_int, default=0, help="random seed (default 0)")
+    p_verify.add_argument("--seed", type=int_option, default=0, help="random seed (default 0)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -2,7 +2,7 @@
 
 Two independent routes to the same number:
 
-* the component count of the meander graph (`meander.graph_index`);
+* the component count of the meander graph (`meander.graph_counts`);
 * rewriting of the leading parts, which strictly lowers the rank until one
   side is empty and the parabolic formula sum(part//2) + defect applies.
 
@@ -12,17 +12,17 @@ serves both flavours, separate arithmetic that must agree: the three-case
 step and the collapsed `closed_form_step` with its witness p, which the
 census DP in `enumeration` calls too.  `reduction_chain` records every
 step so the routes can be replayed; `component_counts` folds the walk into
-the graph's component counts without building the graph.
+the graph's `ComponentCounts` without building the graph.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .composition import Composition, SeaweedA, SeaweedC
-from .meander import _index_from_counts, build_graph_a, build_graph_c, graph_index
+from .meander import ComponentCounts, build_graph_a, build_graph_c, graph_counts
 
 
 class Rule(enum.Enum):
@@ -34,12 +34,12 @@ class Rule(enum.Enum):
 
 def index_a_gl(q: SeaweedA) -> int:
     """Index of a gl(N) seaweed: 2*cycles + segments of its graph."""
-    return graph_index(build_graph_a(q))
+    return graph_counts(build_graph_a(q)).index
 
 
 def index_c(q: SeaweedC) -> int:
     """Index of an sp(2n) / so(2n+1) seaweed from its symmetric graph."""
-    return graph_index(build_graph_c(q))
+    return graph_counts(build_graph_c(q)).index
 
 
 def parabolic_index_c(rank: int, side: Composition) -> int:
@@ -158,18 +158,8 @@ def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain
     return ReductionChain(tuple(steps), cur, terminal_index, total)
 
 
-class ComponentCounts(NamedTuple):
-    """The index and component counts of a meander graph: cycles,
-    mirror-stable segments and every other segment (all of a gl graph's)."""
-
-    index: int
-    cycles: int
-    stable: int
-    loose: int
-
-
 def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:
-    """The counts of `analyze(graph)`, read off the closed-form walk.
+    """`analyze(graph).counts`, read off the closed-form walk.
 
     A split part a1 adds a1//2 cycles and a1 mod 2 segments, twice over in
     the doubled type-C graph.  A type-C walk ends at a parabolic (side | ∅)
@@ -185,5 +175,4 @@ def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:
         loose += twice * (delta % 2)
     side = a or b
     cycles += sum(p // 2 for p in side) + rank - sum(side)
-    index = _index_from_counts(cycles, loose, symmetric)
-    return ComponentCounts(index, cycles, sum(p % 2 for p in side), loose)
+    return ComponentCounts(cycles, sum(p % 2 for p in side), loose, symmetric)

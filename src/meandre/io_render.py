@@ -44,7 +44,7 @@ class GraphDocument:
 
     @property
     def index(self) -> int:
-        return self.report.index
+        return self.report.counts.index
 
 
 def document(q: Descriptor) -> GraphDocument:

@@ -14,7 +14,7 @@ A graph is made only from compositions (`build_graph_a`, `build_graph_c`),
 so its arcs are in range, non-crossing and, for type C, mirror-symmetric by
 construction; nothing re-checks them.  Each side is stored as a partner
 array, filled in one pass over the parts: partner[v] is the other end of
-v's arc on that side, 0 if v has none.  `graph_index` walks them to count
+v's arc on that side, 0 if v has none.  `graph_counts` walks them to count
 (the index routes), `analyze` (its reference) to list components.
 """
 
@@ -77,6 +77,29 @@ class Component(NamedTuple):
         return "cycle" if self.is_cycle else "segment"
 
 
+class ComponentCounts(NamedTuple):
+    """Component counts of a meander graph: cycles, mirror-stable segments
+    and every other segment (all of a plain graph's); `symmetric` is the graph's."""
+
+    cycles: int
+    stable: int
+    loose: int
+    symmetric: bool
+
+    @property
+    def index(self) -> int:
+        """The graph-route index: 2*cycles + segments for a plain (gl) graph,
+        cycles + (segments not fixed by the mirror)/2 for a symmetric one."""
+        if not self.symmetric:
+            return 2 * self.cycles + self.stable + self.loose
+        if self.loose % 2:
+            raise AssertionError(
+                "segments not fixed by the mirror must come in pairs; "
+                f"got {self.loose} of them"
+            )
+        return self.cycles + self.loose // 2
+
+
 @dataclass(frozen=True)
 class ComponentReport:
     """Component decomposition of a meander graph; `symmetric` is the graph's."""
@@ -85,43 +108,15 @@ class ComponentReport:
     symmetric: bool = False
 
     @property
-    def cycles(self) -> int:
-        return sum(1 for c in self.components if c.is_cycle)
-
-    @property
-    def segments(self) -> int:
-        return sum(1 for c in self.components if not c.is_cycle)
-
-    @property
-    def sigma_stable_segments(self) -> int:
-        return sum(1 for c in self.components if not c.is_cycle and c.sigma_stable)
+    def counts(self) -> ComponentCounts:
+        cycles = sum(c.is_cycle for c in self.components)
+        stable = sum(c.sigma_stable and not c.is_cycle for c in self.components)
+        loose = len(self.components) - cycles - stable
+        return ComponentCounts(cycles, stable, loose, self.symmetric)
 
     @property
     def total_arcs(self) -> int:
         return sum(len(c.vertices) - (0 if c.is_cycle else 1) for c in self.components)
-
-    @property
-    def index(self) -> int:
-        """The graph-route index: 2*cycles + segments for a plain (gl) graph,
-        cycles + (segments not fixed by the mirror)/2 for a symmetric one."""
-        cycles = loose = 0  # a plain graph has no mirror: every segment is loose
-        for c in self.components:
-            if c.is_cycle:
-                cycles += 1
-            elif not (self.symmetric and c.sigma_stable):
-                loose += 1
-        return _index_from_counts(cycles, loose, self.symmetric)
-
-
-def _index_from_counts(cycles: int, loose: int, symmetric: bool) -> int:
-    if not symmetric:
-        return 2 * cycles + loose
-    if loose % 2:
-        raise AssertionError(
-            "segments not fixed by the mirror must come in pairs; "
-            f"got {loose} of them"
-        )
-    return cycles + loose // 2
 
 
 def build_graph_a(q: SeaweedA) -> MeanderGraph:
@@ -186,14 +181,14 @@ def analyze(g: MeanderGraph) -> ComponentReport:
     return ComponentReport(tuple(comps), symmetric)
 
 
-def graph_index(g: MeanderGraph) -> int:
-    """`analyze(g).index`, counted on analyze's walk.  The mirror fixes no vertex,
+def graph_counts(g: MeanderGraph) -> ComponentCounts:
+    """`analyze(g).counts`, counted on analyze's walk.  The mirror fixes no vertex,
     so a segment is mirror-stable exactly when it swaps its ends (sum 2n+1)."""
     n = g.vertex_count
     top, bottom = g.top_partner, g.bottom_partner
     mirror = n + 1 if g.symmetric else 0  # no two ends sum to 0
     seen = bytearray(n + 1)
-    cycles = loose = 0
+    cycles = stable = loose = 0
     for start in range(1, n + 1):
         if seen[start]:
             continue  # start itself is never met again: the loop moves on
@@ -212,5 +207,6 @@ def graph_index(g: MeanderGraph) -> int:
             seen[v] = 1
             other, here, there = v, there, here
             v = here[v]
+        stable += end + other == mirror
         loose += end + other != mirror
-    return _index_from_counts(cycles, loose, g.symmetric)
+    return ComponentCounts(cycles, stable, loose, g.symmetric)

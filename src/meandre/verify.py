@@ -59,13 +59,13 @@ def check_index_methods(max_n: int) -> CheckResult:
     checked = 0
     for n in range(1, max_n + 1):
         for q in seaweed_pairs(n):
-            graph_index = index_c(q)
+            graph = index_c(q)
             stepwise = reduction_chain(q).total_index
             closed = reduction_chain(q, closed_form=True).total_index
-            if not graph_index == stepwise == closed:
+            if not graph == stepwise == closed:
                 return _fail(
                     name,
-                    f"graph {graph_index}, stepwise {stepwise}, closed form {closed}",
+                    f"graph {graph}, stepwise {stepwise}, closed form {closed}",
                     q,
                 )
             checked += 1
@@ -133,17 +133,11 @@ def _check_component_structure(census_max_n: int) -> CheckResult:
         for k in range(1, n + 1):
             for q in frobenius_seaweeds(n, k):
                 report = analyze(build_graph_c(q))
-                good = (
-                    report.cycles == 0
-                    and len(report.components) == k
-                    and report.sigma_stable_segments == k
-                    and report.total_arcs == 2 * n - k
-                )
-                if not good:
+                if report.counts != (0, k, 0, True) or report.total_arcs != 2 * n - k:
                     return _fail(
                         name,
                         f"{len(report.components)} components, "
-                        f"{report.sigma_stable_segments} stable, "
+                        f"{report.counts.stable} stable, "
                         f"{report.total_arcs} arcs (expected {k} stable segments, "
                         f"{2 * n - k} arcs)",
                         q,

@@ -81,8 +81,7 @@ def test_criterion_3_worked_examples(capsys):
     parabolic = make_seaweed_c(7, "2,3", "")
     report = analyze(build_graph_c(parabolic))
     assert index_c(parabolic) == 4
-    assert report.cycles == 4
-    assert report.segments == 1 and report.sigma_stable_segments == 1
+    assert report.counts == (4, 1, 0, True)  # 4 cycles, one mirror-stable segment
 
     chain = reduction_chain(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
     assert chain.total_index == 1

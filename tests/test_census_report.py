@@ -40,4 +40,4 @@ def test_census_report_takes_ascii_digits_only(capsys, monkeypatch, max_n):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid parse_int value" in captured.err
+    assert f"error: argument --max-n: {max_n!r} is not an integer" in captured.err

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import meandre.cli
 import meandre.index
 import meandre.io_render
 import meandre.meander
-from meandre import index_c, make_seaweed_c
+from meandre import index_c, make_seaweed_c, reduction_chain
 from meandre.cli import main
 
 CLI_GOLDEN_DIR = Path(__file__).parent / "goldens" / "cli"
@@ -209,7 +210,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
         main(list(argv))
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
-    assert "invalid parse_int value" in captured.err
+    assert "is not an integer" in captured.err
 
 
 def test_negative_integer_option_is_out_of_range(capsys):
@@ -310,6 +311,70 @@ def test_reduce_rank_cap_is_for_the_stepwise_flavour_only(capsys):
     assert code == 0 and out.endswith("index: 0\n")
     code, out, _ = run(capsys, "reduce", "--series", "C", "--n", "0", "--top", "", "--bottom", "")
     assert code == 0 and out.endswith("index: 0\n")
+
+
+@pytest.mark.parametrize(
+    "flavour, golden", [((), "reduce_c.txt"), (("--closed-form",), "reduce_c_closed.txt")]
+)
+def test_reduce_limit_boundary(capsys, monkeypatch, flavour, golden):
+    chain = reduction_chain(make_seaweed_c(9, "2,5", "4,1,3"), closed_form=bool(flavour))
+    limit = sum(len(s.after.top.parts) + len(s.after.bottom.parts) + 1 for s in chain.steps)
+    monkeypatch.setattr(meandre.cli, "REDUCE_MAX_PARTS", limit)
+    code, out, _ = run(capsys, "reduce", *C_9, *flavour)
+    assert code == 0
+    assert out == (CLI_GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    monkeypatch.setattr(meandre.cli, "REDUCE_MAX_PARTS", limit - 1)
+    code, out, err = run(capsys, "reduce", *C_9, *flavour)
+    assert code == 2 and out == ""
+    assert f"the chain would print over {limit - 1:,} parts" in err
+
+
+@pytest.mark.parametrize("flavour", [(), ("--closed-form",)])
+def test_reduce_refuses_a_chain_too_long_to_print(capsys, monkeypatch, flavour):
+    """(1^50000 | 2^50000): a rank the stepwise cap admits, and a chain of
+    about 7.5 * 10^9 parts in either flavour."""
+    def no_chain(q, *, closed_form=False):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr("meandre.cli.reduction_chain", no_chain)
+    m = 50_000
+    top, bottom = ",".join(["1"] * m), ",".join(["2"] * m)
+    started = time.perf_counter()
+    argv = ("--n", str(2 * m), "--top", top, "--bottom", bottom, *flavour)
+    code, out, err = run(capsys, "reduce", *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "the chain would print over 10,000,000 parts" in err
+
+
+def random_parts(rng, total, parts):
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return ",".join(str(b - a) for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+@pytest.mark.parametrize("flavour", [(), ("--closed-form",)])
+def test_reduce_limit_admits_many_parts_chains(monkeypatch, flavour):
+    """The benchmark's largest reduce shape, rank 15,450 with 1,000 parts a
+    side, prints 6.2-6.8 M parts stepwise and 4.7-5.1 M in closed form;
+    (99999 | 100000) takes 99,999 steps."""
+
+    class ChainReached(Exception):
+        """reduce let the descriptor through to the chain."""
+
+    def reach_chain(q, *, closed_form=False):
+        raise ChainReached
+
+    monkeypatch.setattr("meandre.cli.reduction_chain", reach_chain)
+    rng = random.Random(0)
+    rank = 15_450
+    argvs = [("--n", "100000", "--top", "99999", "--bottom", "100000")]
+    for _ in range(4):
+        top = random_parts(rng, rank, 1000)
+        bottom = random_parts(rng, rank - rng.randint(0, rank // 10), 1000)
+        argvs.append(("--n", str(rank), "--top", top, "--bottom", bottom))
+    for argv in argvs:
+        with pytest.raises(ChainReached):
+            main(["reduce", *argv, *flavour])
 
 
 def test_reduce_rejects_series_a(capsys):

@@ -152,7 +152,7 @@ def test_to_type_a_examples():
     image = to_type_a(make_seaweed_c(4, "2,2", "1,2"))
     assert image == make_seaweed_a("1,2,1", "2,2")
     report = analyze(build_graph_a(image))
-    assert len(report.components) == 1 and report.cycles == 0
+    assert report.counts == (0, 0, 1, False)  # one segment
     assert index_a_gl(image) == 1
 
     image = to_type_a(make_seaweed_c(1, "", "1"))
@@ -177,7 +177,5 @@ def test_component_structure_of_census_elements():
         for k in range(1, n + 1):
             for q in frobenius_seaweeds(n, k):
                 report = analyze(build_graph_c(q))
-                assert report.cycles == 0
-                assert len(report.components) == k
-                assert report.sigma_stable_segments == k
+                assert report.counts == (0, k, 0, True)
                 assert report.total_arcs == 2 * n - k

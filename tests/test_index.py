@@ -6,7 +6,7 @@ from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reducti
 from meandre.composition import SeaweedA, SeaweedC, Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
 from meandre.index import Rule, closed_form_step, component_counts, parabolic_index_c
-from meandre.meander import analyze, build_graph_a, build_graph_c
+from meandre.meander import analyze, build_graph_a, build_graph_c, graph_counts
 
 
 def random_seaweeds(max_n):
@@ -77,7 +77,7 @@ def test_index_a_gl_at_least_one_iff_single_segment():
                 report = analyze(build_graph_a(q))
                 value = index_a_gl(q)
                 assert value >= 1
-                sole_segment = len(report.components) == 1 and report.cycles == 0
+                sole_segment = report.counts == (0, 0, 1, False)
                 assert (value == 1) == sole_segment
 
 
@@ -95,7 +95,7 @@ def test_loose_segments_always_even():
     for n in range(0, 6):
         for q in seaweed_pairs(n):
             report = analyze(build_graph_c(q))
-            assert (report.segments - report.sigma_stable_segments) % 2 == 0
+            assert report.counts.loose % 2 == 0
 
 
 # --- reduction steps --------------------------------------------------------
@@ -291,28 +291,25 @@ def test_three_routes_agree_exhaustively_to_rank_4():
 # --- component counts from the walk ------------------------------------------
 
 
-def assert_counts_match_analyze(q, graph):
-    report = analyze(graph)
+def assert_count_routes_agree(q, graph):
+    """The walk, the count-only graph walk and analyze give one record."""
     counts = component_counts(q)
-    assert counts.index == report.index, q
-    assert counts.cycles == report.cycles, q
-    assert counts.stable == report.sigma_stable_segments, q
-    assert counts.stable + counts.loose == report.segments, q
+    assert counts == graph_counts(graph) == analyze(graph).counts, q
 
 
 def test_component_counts_match_analyze_exhaustively():
-    """Every C/B descriptor of rank <= 7 and every gl pair of size <= 9."""
-    for n in range(0, 8):
-        for q in seaweed_pairs(n):
-            assert_counts_match_analyze(q, build_graph_c(q))
-    b = make_seaweed_c(7, "2,3", "", Series.SO_ODD)
-    assert component_counts(b) == component_counts(make_seaweed_c(7, "2,3", ""))
+    """Every C and B descriptor of rank <= 7 and every gl pair of size <= 9."""
+    for series in Series:
+        for n in range(0, 8):
+            for q in seaweed_pairs(n):
+                q = SeaweedC(n, q.top, q.bottom, series)
+                assert_count_routes_agree(q, build_graph_c(q))
     for size in range(1, 10):
         comps = list(compositions_of(size))
         for top in comps:
             for bottom in comps:
                 q = SeaweedA(top, bottom)
-                assert_counts_match_analyze(q, build_graph_a(q))
+                assert_count_routes_agree(q, build_graph_a(q))
 
 
 @st.composite
@@ -335,4 +332,4 @@ def random_descriptors(draw, max_n=60):
 @settings(max_examples=200)
 def test_component_counts_match_analyze_at_random_ranks(q):
     graph = build_graph_a(q) if isinstance(q, SeaweedA) else build_graph_c(q)
-    assert_counts_match_analyze(q, graph)
+    assert_count_routes_agree(q, graph)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from meandre import make_seaweed_a, make_seaweed_c
-from meandre.composition import Composition, SeaweedA, SeaweedC, Series
+from meandre.composition import Composition, SeaweedA, SeaweedC
 from meandre.enumeration import compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
@@ -13,7 +13,7 @@ from meandre.meander import (
     analyze,
     build_graph_a,
     build_graph_c,
-    graph_index,
+    graph_counts,
 )
 
 
@@ -148,21 +148,18 @@ def test_build_graph_c_small_cases():
 
 def test_analyze_parabolic_sp14():
     g = build_graph_c(make_seaweed_c(7, "2,3", ""))
-    report = analyze(g)
-    assert report.cycles == 4
-    assert report.segments == 1
-    assert report.sigma_stable_segments == 1
+    assert analyze(g).counts == (4, 1, 0, True)  # cycles, stable, loose, symmetric
     assert central_arcs(g) == (2, 7)
 
 
 def test_analyze_nine_vertex_example():
     report = analyze(build_graph_a(make_seaweed_a("5,2,2", "2,4,3")))
-    assert report.cycles == 1 and report.segments == 1
+    assert report.counts == (1, 0, 1, False)
 
 
 def test_analyze_isolated_vertices_are_segments():
     report = analyze(build_graph_a(make_seaweed_a("1,1,1", "1,1,1")))
-    assert report.cycles == 0 and report.segments == 3
+    assert report.counts == (0, 0, 3, False)
     assert not any(c.is_cycle for c in report.components)
 
 
@@ -248,36 +245,20 @@ def test_asymmetric_graph_rejected_when_flagged():
 def test_symmetric_report_index_needs_paired_loose_segments():
     left = Component((1,), is_cycle=False, sigma_stable=False)
     right = Component((2,), is_cycle=False, sigma_stable=False)
-    assert ComponentReport((left,)).index == 1  # plain graph: 2*cycles + segments
-    assert ComponentReport((left, right), symmetric=True).index == 1
+    assert ComponentReport((left,)).counts.index == 1  # plain graph: 2*cycles + segments
+    assert ComponentReport((left, right), symmetric=True).counts.index == 1
     with pytest.raises(AssertionError, match="must come in pairs; got 1"):
-        ComponentReport((left,), symmetric=True).index
-
-
-def test_graph_index_matches_analyze_on_every_c_b_descriptor_to_rank_7():
-    for series in Series:
-        for n in range(0, 8):
-            for q in seaweed_pairs(n):
-                g = build_graph_c(SeaweedC(n, q.top, q.bottom, series))
-                assert graph_index(g) == analyze(g).index, (series, q)
-
-
-def test_graph_index_matches_analyze_on_every_gl_pair_to_size_8():
-    for size in range(1, 9):
-        comps = list(compositions_of(size))
-        for top in comps:
-            for bottom in comps:
-                g = build_graph_a(SeaweedA(top, bottom))
-                assert graph_index(g) == analyze(g).index, (top, bottom)
+        ComponentReport((left,), symmetric=True).counts.index
 
 
 def test_odd_loose_segments_fail_on_both_graph_routes():
     # Segments {1,2}, {3} and {4}: none has ends summing to 5, so three are loose.
     g = MeanderGraph(4, (0, 2, 1, 0, 0), NO_ARCS, symmetric=True)
+    assert analyze(g).counts == graph_counts(g) == (0, 0, 3, True)
     with pytest.raises(AssertionError, match="must come in pairs; got 3"):
-        analyze(g).index
+        analyze(g).counts.index
     with pytest.raises(AssertionError, match="must come in pairs; got 3"):
-        graph_index(g)
+        graph_counts(g).index
 
 
 def test_symmetric_invariants_exhaustive():
