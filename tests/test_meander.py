@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from meandre import make_seaweed_a, make_seaweed_c
-from meandre.composition import Composition, SeaweedA, SeaweedC
+from meandre.composition import Composition, SeaweedA, SeaweedC, Series
 from meandre.enumeration import compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
@@ -249,6 +249,29 @@ def test_symmetric_report_index_needs_paired_loose_segments():
     assert ComponentReport((left, right), symmetric=True).counts.index == 1
     with pytest.raises(AssertionError, match="must come in pairs; got 1"):
         ComponentReport((left,), symmetric=True).counts.index
+
+
+def test_graph_index_matches_analyze_on_every_c_b_descriptor_to_rank_7():
+    # The graph walk behind index_c: its counts, and so its index, equal analyze's.
+    for series in Series:
+        for n in range(0, 8):
+            for q in seaweed_pairs(n):
+                g = build_graph_c(SeaweedC(n, q.top, q.bottom, series))
+                counts = graph_counts(g)
+                assert counts == analyze(g).counts, (series, q)
+                assert counts.index == analyze(g).counts.index, (series, q)
+
+
+def test_graph_index_matches_analyze_on_every_gl_pair_to_size_8():
+    # The graph walk behind index_a_gl: its counts, and so its index, equal analyze's.
+    for size in range(1, 9):
+        comps = list(compositions_of(size))
+        for top in comps:
+            for bottom in comps:
+                g = build_graph_a(SeaweedA(top, bottom))
+                counts = graph_counts(g)
+                assert counts == analyze(g).counts, (top, bottom)
+                assert counts.index == analyze(g).counts.index, (top, bottom)
 
 
 def test_odd_loose_segments_fail_on_both_graph_routes():
