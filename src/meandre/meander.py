@@ -13,7 +13,8 @@ under the reflection v -> 2n+1-v; the arcs crossing the centre line are the
 A graph is made only from compositions (`build_graph_a`, `build_graph_c`),
 so its arcs are in range, non-crossing and, for type C, mirror-symmetric by
 construction; nothing re-checks them.  Each side is stored as a partner
-array, filled in one pass over the parts: partner[v] is the other end of
+array, filled in one pass over the parts (a doubled type-C side over its
+own parts and middle part, then mirrored): partner[v] is the other end of
 v's arc on that side, 0 if v has none.  `graph_counts` walks them to count
 (the index routes), `analyze` (its reference) to list components.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .composition import SeaweedA, SeaweedC, doubled
+from .composition import Composition, SeaweedA, SeaweedC
 
 Arc = tuple[int, int]
 Partner = tuple[int, ...]
@@ -62,6 +63,18 @@ def _partner(parts: tuple[int, ...]) -> Partner:
         partner += range(offset + p, offset, -1)
         if p % 2:
             partner[offset + (p + 1) // 2] = 0
+    return tuple(partner)
+
+
+def _doubled_partner(side: Composition, defect: int) -> Partner:
+    """`_partner(doubled(side, defect))`, the side's parts built once and
+    mirrored.  The middle part 2*defect, its own mirror image, has the arcs
+    v -> 2n+1-v; past it, partner[2n+1-v] = 2n+1-partner[v], and 0 stays 0."""
+    total = side.total
+    mirror = 2 * (total + defect) + 1
+    partner = [*_partner(side.parts)]
+    partner += range(mirror - total - 1, total, -1)
+    partner += [mirror - u if u else 0 for u in partner[total:0:-1]]
     return tuple(partner)
 
 
@@ -125,11 +138,12 @@ def build_graph_a(q: SeaweedA) -> MeanderGraph:
 
 
 def build_graph_c(q: SeaweedC) -> MeanderGraph:
-    """Meander graph of a type-C seaweed: the graph of its doubled descriptor."""
+    """Meander graph of a type-C seaweed: the graph of its doubled descriptor,
+    each side's parts built once and mirrored (`_doubled_partner`)."""
     return MeanderGraph(
         2 * q.rank,
-        _partner(doubled(q.top, q.top_defect)),
-        _partner(doubled(q.bottom, q.bottom_defect)),
+        _doubled_partner(q.top, q.top_defect),
+        _doubled_partner(q.bottom, q.bottom_defect),
         symmetric=True,
     )
 

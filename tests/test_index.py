@@ -1,11 +1,13 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
-from meandre.composition import SeaweedA, SeaweedC, Series, parse_composition
+from meandre.composition import Composition, SeaweedA, SeaweedC, Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
-from meandre.index import Rule, closed_form_step, component_counts, parabolic_index_c
+from meandre.index import Rule, closed_form_step, component_counts, parabolic_index_c, walk
 from meandre.meander import analyze, build_graph_a, build_graph_c, graph_counts
 
 
@@ -286,6 +288,80 @@ def test_three_routes_agree_exhaustively_to_rank_4():
             graph = index_c(q)
             assert reduction_chain(q).total_index == graph
             assert reduction_chain(q, closed_form=True).total_index == graph
+
+
+def eager_chain(q, closed_form):
+    """The chain as it was recorded before steps shared their part storage:
+    both descriptors of every step built and validated during the walk."""
+    steps, cur = [], q
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
+        after = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
+        steps.append((rule, cur, after, delta, swapped, p))
+        cur = after
+    return steps, cur
+
+
+def assert_valid_descriptor(d):
+    assert isinstance(d, SeaweedC)
+    assert d == SeaweedC(d.rank, Composition(d.top.parts), Composition(d.bottom.parts), d.series)
+
+
+def test_chain_matches_the_eager_snapshot_loop_on_every_c_b_descriptor_to_rank_5():
+    for series in Series:
+        for n in range(0, 6):
+            for q in seaweed_pairs(n):
+                q = SeaweedC(n, q.top, q.bottom, series)
+                for closed in (False, True):
+                    chain = reduction_chain(q, closed_form=closed)
+                    steps, terminal = eager_chain(q, closed)
+                    if chain.steps:
+                        assert chain.steps[0].before == q
+                        assert chain.steps[-1].after == chain.terminal
+                    for step, following in zip(chain.steps, chain.steps[1:]):
+                        assert step.after == following.before
+                    for step, eager in zip(chain.steps, steps, strict=True):
+                        fields = (step.rule, step.before, step.after)
+                        fields += (step.index_delta, step.swapped, step.witness_p)
+                        assert fields == eager, q
+                        assert_valid_descriptor(step.before)
+                        assert_valid_descriptor(step.after)
+                    assert chain.terminal == terminal
+                    assert_valid_descriptor(chain.terminal)
+
+
+def ones_and_twos(m):
+    return make_seaweed_c(2 * m, ",".join(["1"] * m), ",".join(["2"] * m))
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_chain_memory_is_linear(closed):
+    """(1^3000 | 2^3000): 3,000 steps, each sharing its parts with the one
+    before; snapshots of both descriptors per step peaked at 92 MB."""
+    q = ones_and_twos(3000)
+    tracemalloc.start()
+    try:
+        chain = reduction_chain(q, closed_form=closed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert chain.total_index == component_counts(q).index == 3000
+
+
+def test_step_eq_and_repr_do_not_recurse_on_a_long_chain():
+    """The last step of a 50,000-step chain sits on cells nested 50,000 deep."""
+    q = ones_and_twos(50_000)
+    chain, again = reduction_chain(q), reduction_chain(q)
+    assert len(chain.steps) == 50_000 and chain.total_index == 50_000
+    last = chain.steps[-1]
+    assert last == again.steps[-1] and hash(last) == hash(again.steps[-1])
+    assert last != chain.steps[-2]
+    assert repr(last) == (
+        "ReductionStep(rule=<Rule.SPLIT_EQUAL: 'split-equal'>, "
+        f"before={last.before!r}, after={last.after!r}, "
+        "index_delta=1, swapped=False, witness_p=None)"
+    )
 
 
 # --- component counts from the walk ------------------------------------------

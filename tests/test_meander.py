@@ -2,14 +2,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandre import make_seaweed_a, make_seaweed_c
-from meandre.composition import Composition, SeaweedA, SeaweedC, Series
-from meandre.enumeration import compositions_of, seaweed_pairs
+from meandre.composition import Composition, SeaweedA, SeaweedC, Series, doubled
+from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
 from meandre.meander import (
     Component,
     ComponentReport,
     MeanderGraph,
+    _partner,
     analyze,
     build_graph_a,
     build_graph_c,
@@ -197,6 +200,39 @@ def test_analyze_matches_reference_on_random_descriptors_to_rank_200():
         top, bottom = random_composition(rng, size), random_composition(rng, size)
         g = build_graph_a(SeaweedA(top, bottom))
         assert analyze(g) == reference_analyze(g), (top, bottom)
+
+
+def assert_mirrored_partners(q: SeaweedC) -> None:
+    """build_graph_c builds each side's parts once and mirrors them; the
+    arrays equal the partner arrays of the doubled parts, built whole."""
+    g = build_graph_c(q)
+    assert g.top_partner == _partner(doubled(q.top, q.top_defect)), q
+    assert g.bottom_partner == _partner(doubled(q.bottom, q.bottom_defect)), q
+
+
+def test_mirrored_partner_arrays_on_every_c_b_descriptor_to_rank_7():
+    for series in Series:
+        for n in range(0, 8):
+            for q in seaweed_pairs(n):
+                assert_mirrored_partners(SeaweedC(n, q.top, q.bottom, series))
+
+
+@st.composite
+def random_c_b_descriptors(draw, max_n=60):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+
+    def comp():
+        m = draw(st.integers(min_value=0, max_value=n))
+        mask = draw(st.integers(min_value=0, max_value=(1 << (m - 1)) - 1)) if m else 0
+        return composition_from_mask(m, mask)
+
+    return SeaweedC(n, comp(), comp(), draw(st.sampled_from(Series)))
+
+
+@given(random_c_b_descriptors())
+@settings(max_examples=200)
+def test_mirrored_partner_arrays_at_random_ranks(q):
+    assert_mirrored_partners(q)
 
 
 def test_builders_make_valid_meander_graphs():
