@@ -51,7 +51,7 @@ import sys
 
 from .composition import SeaweedA, SeaweedC, Series, make_seaweed_a, make_seaweed_c, parse_int
 from .enumeration import frobenius_census
-from .index import component_counts, reduction_chain, walk
+from .index import component_counts, reduction_steps, terminal_index_c, walk
 from .io_render import (
     census_table,
     check_ascii_width,
@@ -67,7 +67,7 @@ CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
 STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
 REDUCE_MAX_PARTS = 10_000_000  # reduce's parts: (1^2828 | 2^2828) prints 10.0 M in 4.6 s
-ORACLE_MAX_N = 6  # the oracle's exhaustive pass: tens of seconds at rank 6, minutes at 7
+ORACLE_MAX_N = 6  # the oracle's exhaustive pass: about 3.2 s at rank 6, 17 s at 7 (2-core x86)
 
 
 def _check_bounds(*flags: tuple[str, int, int]) -> None:
@@ -169,38 +169,45 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         printed += len(a) + len(b) + 1
         if printed > REDUCE_MAX_PARTS:
             raise ValueError(f"the chain would print over {REDUCE_MAX_PARTS:,} parts")
-    chain = reduction_chain(q, closed_form=args.closed_form)
+    # Each step is printed (or turned into its JSON row) as it is taken and
+    # then let go, so only the latest descriptors stay alive.
+    terminal, total, rows = q, 0, []
+    if not args.json:
+        print(_banner(q))
+    for pos, step in enumerate(reduction_steps(q, closed_form=args.closed_form), start=1):
+        if args.json:
+            rows.append(
+                {
+                    "rule": step.rule.value,
+                    "swapped": step.swapped,
+                    "p": step.witness_p,
+                    "before": str(step.before),
+                    "after": str(step.after),
+                    "delta": step.index_delta,
+                }
+            )
+        else:
+            rule = step.rule.value
+            if step.witness_p is not None:
+                rule += f" p={step.witness_p}"
+            if step.swapped:
+                rule += " (swapped)"
+            print(f"  {pos}. {rule:<26} {step.before}  ->  {step.after}  [+{step.index_delta}]")
+        terminal, total = step.after, total + step.index_delta
+    terminal_index = terminal_index_c(terminal)
     if args.json:
         _print_json(
             {
                 **payload_head(q),
-                "steps": [
-                    {
-                        "rule": step.rule.value,
-                        "swapped": step.swapped,
-                        "p": step.witness_p,
-                        "before": str(step.before),
-                        "after": str(step.after),
-                        "delta": step.index_delta,
-                    }
-                    for step in chain.steps
-                ],
-                "terminal": str(chain.terminal),
-                "terminal_index": chain.terminal_index,
-                "index": chain.total_index,
+                "steps": rows,
+                "terminal": str(terminal),
+                "terminal_index": terminal_index,
+                "index": total + terminal_index,
             }
         )
-        return 0
-    print(_banner(q))
-    for pos, step in enumerate(chain.steps, start=1):
-        rule = step.rule.value
-        if step.witness_p is not None:
-            rule += f" p={step.witness_p}"
-        if step.swapped:
-            rule += " (swapped)"
-        print(f"  {pos}. {rule:<26} {step.before}  ->  {step.after}  [+{step.index_delta}]")
-    print(f"terminal: {chain.terminal} parabolic, index {chain.terminal_index}")
-    print(f"index: {chain.total_index}")
+    else:
+        print(f"terminal: {terminal} parabolic, index {terminal_index}")
+        print(f"index: {total + terminal_index}")
     return 0
 
 

@@ -10,9 +10,11 @@ The rewriting is one walker, `walk`, on two part stacks (lists, leading
 part last): O(1) per step, about parts x log(part size) steps in all.  It
 serves both flavours, separate arithmetic that must agree: the three-case
 step and the collapsed `closed_form_step` with its witness p, which the
-census DP in `enumeration` calls too.  `reduction_chain` records every
-step so the routes can be replayed, in time and memory linear in the walk:
-the steps share their part storage and build their descriptors when read.
+census DP in `enumeration` calls too.  `reduction_steps` records each step
+as it is taken, so the routes can be replayed, in time and memory linear in
+the walk: the steps share their part storage and build their descriptors
+when read.  `reduction_chain` keeps them all; `meandre reduce` prints each
+and lets it go.
 `component_counts` folds the walk into the graph's `ComponentCounts`
 without building the graph.
 """
@@ -222,32 +224,43 @@ def walk(rank: int, a: list[int], b: list[int], *, closed_form: bool) -> Iterato
         yield rule, p, swapped, delta, rank, (a, b)
 
 
-def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
-    """Walk until one side is empty, then close with the parabolic formula.
+def reduction_steps(q: SeaweedC, *, closed_form: bool = False) -> Iterator[ReductionStep]:
+    """The steps of `reduction_chain`, each yielded as it is taken.
 
     Linear in the walk: a step rewrites only the leading part of each side
     and pushes at most one more, so each records O(1) new cons cells and
-    shares the rest with the step before.  Descriptors are built when read.
+    shares the rest with the step before.  Descriptors are built when read;
+    a caller that lets each step go keeps only the latest one alive.
     """
-    steps: list[ReductionStep] = []
     stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
     top, bottom = _cons(stacks[0]), _cons(stacks[1])
     depths = len(stacks[0]), len(stacks[1])  # the walk's stack sizes before the step
-    state = _State(q.rank, top, bottom, q.series, q)
-    total = 0
+    series = q.series
+    state = _State(q.rank, top, bottom, series, q)
     for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
         if swapped:
             top, bottom, depths = bottom, top, depths[::-1]
         # Only each old leading part changed: pop it and push the stack above it.
         top, bottom = _cons(a[depths[0] - 1:], top[1]), _cons(b[depths[1] - 1:], bottom[1])
         depths = len(a), len(b)
-        after = _State(rank, top, bottom, q.series)
-        steps.append(ReductionStep(rule, delta, swapped, p, state, after))
-        state, total = after, total + delta
-    terminal = state.seaweed()
+        after = _State(rank, top, bottom, series)
+        yield ReductionStep(rule, delta, swapped, p, state, after)
+        state = after
+
+
+def terminal_index_c(terminal: SeaweedC) -> int:
+    """Index of a reduction's terminal, a parabolic with one side empty."""
     side = terminal.top if terminal.top.parts else terminal.bottom
-    terminal_index = parabolic_index_c(terminal.rank, side)
-    return ReductionChain(tuple(steps), terminal, terminal_index, total + terminal_index)
+    return parabolic_index_c(terminal.rank, side)
+
+
+def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
+    """Walk until one side is empty, then close with the parabolic formula."""
+    steps = tuple(reduction_steps(q, closed_form=closed_form))
+    terminal = steps[-1].after if steps else q
+    terminal_index = terminal_index_c(terminal)
+    total = sum([step.index_delta for step in steps]) + terminal_index
+    return ReductionChain(steps, terminal, terminal_index, total)
 
 
 def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:

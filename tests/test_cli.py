@@ -3,6 +3,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -297,7 +298,7 @@ def test_stepwise_reduce_above_its_rank_cap_exits_2_before_reducing(capsys, monk
     def no_chain(q, *, closed_form=False):
         raise AssertionError("the chain was built")
 
-    monkeypatch.setattr("meandre.cli.reduction_chain", no_chain)
+    monkeypatch.setattr("meandre.cli.reduction_steps", no_chain)
     code, out, err = run(
         capsys, "reduce", "--series", "C", "--n", "100001", "--top", "100000", "--bottom", "100001"
     )
@@ -336,7 +337,7 @@ def test_reduce_refuses_a_chain_too_long_to_print(capsys, monkeypatch, flavour):
     def no_chain(q, *, closed_form=False):
         raise AssertionError("the chain was built")
 
-    monkeypatch.setattr("meandre.cli.reduction_chain", no_chain)
+    monkeypatch.setattr("meandre.cli.reduction_steps", no_chain)
     m = 50_000
     top, bottom = ",".join(["1"] * m), ",".join(["2"] * m)
     started = time.perf_counter()
@@ -345,6 +346,34 @@ def test_reduce_refuses_a_chain_too_long_to_print(capsys, monkeypatch, flavour):
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
     assert "the chain would print over 10,000,000 parts" in err
+
+
+@pytest.mark.parametrize("flavour", [(), ("--closed-form",)])
+def test_text_reduce_keeps_only_the_latest_step(flavour):
+    """(1^600 | 2^600) prints 1.8 MB of descriptors, but each line needs only
+    its own two: kept to the end, every step's descriptors would peak at
+    about 4 MB of traced memory; one step at a time takes 0.1-0.3 MB."""
+
+    class Sink(io.TextIOBase):
+        size = 0
+
+        def write(self, s):
+            self.size += len(s)
+            return len(s)
+
+    m = 600
+    top, bottom = ",".join(["1"] * m), ",".join(["2"] * m)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["reduce", "--series", "C", "--n", str(2 * m), "--top", top, "--bottom", bottom, *flavour])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 1_500_000
+    assert peak < sink.size / 4
 
 
 def random_parts(rng, total, parts):
@@ -364,7 +393,7 @@ def test_reduce_limit_admits_many_parts_chains(monkeypatch, flavour):
     def reach_chain(q, *, closed_form=False):
         raise ChainReached
 
-    monkeypatch.setattr("meandre.cli.reduction_chain", reach_chain)
+    monkeypatch.setattr("meandre.cli.reduction_steps", reach_chain)
     rng = random.Random(0)
     rank = 15_450
     argvs = [("--n", "100000", "--top", "99999", "--bottom", "100000")]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from meandre import index_c, index_oracle, make_seaweed_c, oracle
 from meandre.enumeration import seaweed_pairs
 from meandre.composition import symmetrize
-from meandre.oracle import build_seaweed_matrices, integer_rank
+from meandre.oracle import build_seaweed_matrices, pfaffian_rank
 
 
 def fraction_rank(rows):
@@ -39,19 +39,26 @@ def _mirrored(upper):
     ]
 
 
+def _as_dicts(upper):
+    """The strict upper triangle as pfaffian_rank takes it: row k maps l > k
+    to A[k][l], explicit zeros kept."""
+    return [{k + 1 + t: x for t, x in enumerate(row)} for k, row in enumerate(upper)]
+
+
 @st.composite
 def upper_triangles(draw):
-    """Strict upper triangles of alternating integer matrices."""
+    """Strict upper triangles of alternating integer matrices, with entries
+    up to the size of a real Kirillov form's (|entry| <= 4000)."""
     d = draw(st.integers(min_value=0, max_value=8))
     kind = draw(st.sampled_from(["triangle", "wedges", "zero"]))
     if kind == "triangle":
-        upper = [[draw(st.integers(-9, 9)) for _ in range(d - 1 - i)] for i in range(d)]
+        upper = [[draw(st.integers(-4000, 4000)) for _ in range(d - 1 - i)] for i in range(d)]
     elif kind == "wedges":
         # a sum of r terms u ^ v has rank at most 2r
         upper = [[0] * (d - 1 - i) for i in range(d)]
         for _ in range(draw(st.integers(min_value=0, max_value=max(d // 2 - 1, 0)))):
-            u = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
-            v = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+            u = draw(st.lists(st.integers(-25, 25), min_size=d, max_size=d))
+            v = draw(st.lists(st.integers(-25, 25), min_size=d, max_size=d))
             for i in range(d):
                 for j in range(i + 1, d):
                     upper[i][j - i - 1] += u[i] * v[j] - u[j] * v[i]
@@ -65,33 +72,75 @@ def upper_triangles(draw):
 
 @given(upper_triangles())
 @settings(max_examples=300)
-def test_integer_rank_matches_fraction_elimination(upper):
-    assert integer_rank(upper) == fraction_rank(_mirrored(upper))
+def test_pfaffian_rank_matches_fraction_elimination(upper):
+    assert pfaffian_rank(_as_dicts(upper)) == fraction_rank(_mirrored(upper))
 
 
-def test_integer_rank_degenerate_cases():
-    assert integer_rank([]) == 0
-    assert integer_rank([[]]) == 0
-    assert integer_rank([[0], []]) == 0
-    assert integer_rank([[3], []]) == 2
+def test_pfaffian_rank_degenerate_cases():
+    assert pfaffian_rank([]) == 0
+    assert pfaffian_rank([{}]) == 0
+    assert pfaffian_rank([{1: 0}, {}]) == 0
+    assert pfaffian_rank([{1: 3}, {}]) == 2
+    assert pfaffian_rank([{}, {}, {}]) == 0
     # (1, 2, 0, 1) ^ (0, 1, 1, 3)
     upper = [[1, 1, 3], [2, 5], [-1], []]
-    assert integer_rank(upper) == fraction_rank(_mirrored(upper)) == 2
+    assert pfaffian_rank(_as_dicts(upper)) == fraction_rank(_mirrored(upper)) == 2
+
+
+def test_pfaffian_rank_mod_p_can_only_fall_short():
+    # p is invertible over Q but zero mod p: the rank mod p reads low, never high
+    assert fraction_rank([[0, oracle.PRIME], [-oracle.PRIME, 0]]) == 2
+    assert pfaffian_rank([{1: oracle.PRIME}, {}]) == 0
+    assert pfaffian_rank([{1: oracle.PRIME + 1}, {}]) == 2
 
 
 @pytest.mark.parametrize(
     "upper",
     [
-        [[0]],  # one index: no entry right of the diagonal
-        [[0, 1], [-1, 0]],  # a full square matrix
-        [[1], [2]],  # the last row must be empty
-        [[1, 2], [], []],  # row 1 too short
-        [[1, 2], [3], [4]],  # row 2 too long
+        [{0: 1}],  # on the diagonal
+        [{1: 1}, {1: 2}],  # on the diagonal of row 1
+        [{1: 1}, {0: 1}],  # below the diagonal
+        [{-1: 1}, {}],  # below the diagonal, negative
+        [{2: 1}, {}],  # past the last column
+        [{1: 1, 3: 2}, {2: 1}, {}],  # past the last column, beside a good entry
     ],
 )
-def test_integer_rank_rejects_wrong_row_lengths(upper):
-    with pytest.raises(ValueError, match="entries"):
-        integer_rank(upper)
+def test_pfaffian_rank_rejects_entries_off_the_strict_upper_triangle(upper):
+    with pytest.raises(ValueError, match="keys of upper"):
+        pfaffian_rank(upper)
+
+
+def _lift(residue):
+    """The integer of least absolute value congruent to `residue` mod p."""
+    value = residue - oracle.PRIME if residue > oracle.PRIME // 2 else residue
+    assert abs(value) <= 10_000
+    return value
+
+
+def test_pfaffian_rank_equals_exact_rank_on_sample_forms_to_rank_3(monkeypatch):
+    # every form the oracle ranks, lifted back to its integer entries
+    # (|entry| <= 4 * 1000, far below p / 2), has the same rank over Q
+    forms = []
+    checked = 0
+
+    def recording_rank(upper):
+        forms.append([dict(row) for row in upper])
+        return pfaffian_rank(upper)
+
+    monkeypatch.setattr(oracle, "pfaffian_rank", recording_rank)
+    for n in range(0, 4):
+        for q in seaweed_pairs(n):
+            for seed in range(5):
+                forms.clear()
+                index_oracle(q, 5, seed=seed)
+                for form in forms:
+                    upper = [
+                        [_lift(row.get(l, 0)) for l in range(k + 1, len(form))]
+                        for k, row in enumerate(form)
+                    ]
+                    assert pfaffian_rank(form) == fraction_rank(_mirrored(upper)), (q, seed)
+                checked += len(forms)
+    assert checked >= 85 * 5  # at least one form per descriptor and seed
 
 
 def _dense(entries, size):
@@ -174,11 +223,11 @@ def test_index_oracle_stops_at_the_largest_even_rank(monkeypatch):
     # dim 1: an alternating form has even rank, so rank 0 after one sample is final
     calls = []
 
-    def counting_rank(rows):
-        calls.append(rows)
-        return integer_rank(rows)
+    def counting_rank(upper):
+        calls.append(upper)
+        return pfaffian_rank(upper)
 
-    monkeypatch.setattr(oracle, "integer_rank", counting_rank)
+    monkeypatch.setattr(oracle, "pfaffian_rank", counting_rank)
     assert index_oracle(make_seaweed_c(1, "1", "1"), 5) == 1
     assert len(calls) == 1
 
@@ -191,6 +240,17 @@ def test_index_oracle_rejects_zero_samples():
 def test_index_oracle_is_seed_reproducible():
     q = make_seaweed_c(3, "1,2", "2")
     assert index_oracle(q, 3, seed=7) == index_oracle(q, 3, seed=7)
+
+
+def test_one_sample_never_understates_the_index():
+    # a single form's rank mod p is at most the generic rank over Q
+    for n in range(0, 4):
+        for pair in seaweed_pairs(n):
+            for series in ("C", "B"):
+                q = make_seaweed_c(n, pair.top, pair.bottom, series)
+                expected = index_c(q)
+                for seed in range(5):
+                    assert index_oracle(q, 1, seed=seed) >= expected, (q, seed)
 
 
 def test_oracle_matches_graph_exhaustively_to_rank_2():
