@@ -11,7 +11,6 @@ from .composition import Series, make_seaweed_a, make_seaweed_c
 from .enumeration import frobenius_census
 from .index import index_a_gl, index_c, reduction_chain
 from .io_render import document, from_json, to_ascii, to_dot, to_json
-from .oracle import index_oracle
 
 __version__ = "0.1.0"
 
@@ -30,3 +29,13 @@ __all__ = [
     "to_ascii",
     "to_dot",
 ]
+
+
+def __getattr__(name: str):
+    """`index_oracle` loads the oracle module on first use: no other command
+    or library call needs it."""
+    if name == "index_oracle":
+        from .oracle import index_oracle
+
+        return index_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,7 +61,6 @@ from .io_render import (
     to_dot,
     to_json,
 )
-from .verify import run_all
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 30 s at rank 8, 4x more per rank
@@ -227,6 +226,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("--oracle-max-n", args.oracle_max_n, ORACLE_MAX_N),
         ("--census-max-n", args.census_max_n, BRUTE_FORCE_MAX_N),
     )
+    from .verify import run_all  # loaded here: no other command needs it or the oracle
+
     results = run_all(
         max_n=args.max_n,
         oracle_max_n=args.oracle_max_n,

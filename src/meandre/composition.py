@@ -11,26 +11,61 @@ orthogonal) block.  A seaweed is the intersection of a standard parabolic
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
 
 EMPTY_DISPLAY = "∅"
 
 
-@dataclass(frozen=True)
-class Composition:
+class _Frozen:
+    """An immutable record: its fields are its slots, set once by `__init__`
+    through object.__setattr__.  It compares and hashes by them, equal only
+    to an instance of its own class, and shows them in its repr."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(operator.attrgetter(*cls.__slots__))  # the fields, in order
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Rebuild through `__init__`, which takes the fields in slot order."""
+        return type(self), self._values
+
+
+class Composition(_Frozen):
     """Ordered parts, every one >= 1; () is the empty composition (total 0)."""
 
-    parts: tuple[int, ...] = ()
-    total: int = field(init=False, compare=False)
+    __slots__ = ("parts", "total")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(parts)
+        for p in parts:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(
                     f"composition part must be a positive integer, got {p!r}"
                 )
-        object.__setattr__(self, "total", sum(self.parts))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "total", sum(parts))
+
+    def __reduce__(self):
+        return Composition, (self.parts,)
 
     def to_text(self) -> str:
         """Machine form "a1,a2,...,as"; the empty composition is ""."""
@@ -79,19 +114,18 @@ class Series(enum.Enum):
     SO_ODD = "B"
 
 
-@dataclass(frozen=True)
-class SeaweedA:
+class SeaweedA(_Frozen):
     """Standard seaweed in gl(N): two compositions of the same total N."""
 
-    top: Composition
-    bottom: Composition
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self) -> None:
-        if self.top.total != self.bottom.total:
+    def __init__(self, top: Composition, bottom: Composition) -> None:
+        if top.total != bottom.total:
             raise ValueError(
-                "top and bottom must have equal totals, got "
-                f"{self.top.total} and {self.bottom.total}"
+                f"top and bottom must have equal totals, got {top.total} and {bottom.total}"
             )
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
 
     @property
     def size(self) -> int:
@@ -109,8 +143,7 @@ class SeaweedA:
         return f"({self.top} | {self.bottom})"
 
 
-@dataclass(frozen=True)
-class SeaweedC:
+class SeaweedC(_Frozen):
     """Standard seaweed in sp(2n) / so(2n+1): rank n and two compositions
     whose totals are at most n.
 
@@ -119,24 +152,23 @@ class SeaweedC:
     its letter, "C" or "B".
     """
 
-    rank: int
-    top: Composition
-    bottom: Composition
-    series: Series = Series.SP
+    __slots__ = ("rank", "top", "bottom", "series")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.series, Series):
-            object.__setattr__(self, "series", Series(self.series))
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 0:
-            raise ValueError(f"rank must be a non-negative integer, got {self.rank!r}")
-        if self.top.total > self.rank:
-            raise ValueError(
-                f"top composition exceeds rank: {self.top.total} > {self.rank}"
-            )
-        if self.bottom.total > self.rank:
-            raise ValueError(
-                f"bottom composition exceeds rank: {self.bottom.total} > {self.rank}"
-            )
+    def __init__(
+        self, rank: int, top: Composition, bottom: Composition, series: Series = Series.SP
+    ) -> None:
+        if not isinstance(series, Series):
+            series = Series(series)
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+            raise ValueError(f"rank must be a non-negative integer, got {rank!r}")
+        if top.total > rank:
+            raise ValueError(f"top composition exceeds rank: {top.total} > {rank}")
+        if bottom.total > rank:
+            raise ValueError(f"bottom composition exceeds rank: {bottom.total} > {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "series", series)
 
     @property
     def top_defect(self) -> int:

@@ -29,9 +29,8 @@ Two routes give the census, one counting and one listing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .composition import Composition, SeaweedA, SeaweedC, canonical_pair
 from .index import closed_form_step, index_c
@@ -77,8 +76,7 @@ def seaweed_pairs(n: int) -> Iterator[SeaweedC]:
             yield SeaweedC(n, top, bottom)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """Row n of the Frobenius count table: by_k[k-1] classes with k central arcs."""
 
     n: int

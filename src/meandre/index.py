@@ -22,8 +22,7 @@ without building the graph.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .composition import Composition, SeaweedA, SeaweedC
 from .meander import ComponentCounts, build_graph_a, build_graph_c, graph_counts
@@ -152,8 +151,7 @@ class ReductionStep:
         )
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(NamedTuple):
     """A full reduction: rewriting steps down to a parabolic terminal.
 
     terminal_index is the parabolic index of the terminal;

@@ -14,8 +14,8 @@ a drawing wider than ASCII_MAX_WIDTH columns before any graph is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .composition import SeaweedA, SeaweedC, Series, parse_composition
 from .enumeration import CensusRow
@@ -34,8 +34,7 @@ GRAPH_MAX_VERTICES = 2_000_000  # rank 10^6 for C/B: about 3.5 s and 360 MB
 ASCII_MAX_WIDTH = 200  # columns of a to_ascii drawing: rank 50 for C/B
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """A descriptor with its graph, component report and index."""
 
     descriptor: Descriptor

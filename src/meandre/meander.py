@@ -21,7 +21,6 @@ v's arc on that side, 0 if v has none.  `graph_counts` walks them to count
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .composition import Composition, SeaweedA, SeaweedC
@@ -30,8 +29,7 @@ Arc = tuple[int, int]
 Partner = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MeanderGraph:
+class MeanderGraph(NamedTuple):
     """Vertices 1..vertex_count with one partner array per side (index 0
     unused); `symmetric` marks a doubled type-C graph."""
 
@@ -113,8 +111,7 @@ class ComponentCounts(NamedTuple):
         return self.cycles + self.loose // 2
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """Component decomposition of a meander graph; `symmetric` is the graph's."""
 
     components: tuple[Component, ...]

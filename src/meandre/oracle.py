@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .composition import SeaweedC, doubled
 
@@ -56,8 +55,7 @@ COEFF_RANGE = 1000
 PRIME = 2**30 - 35  # the largest prime below 2^30: a residue is one Python digit
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixAlgebraBasis:
+class MatrixAlgebraBasis(NamedTuple):
     """Integer matrix basis of a seaweed with its bracket structure table.
 
     elements[k] lists the nonzero entries of the 2n x 2n matrix x_k.

@@ -17,7 +17,7 @@ Each check returns a CheckResult with a minimal counterexample on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .composition import SeaweedA, SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
@@ -36,8 +36,7 @@ from .oracle import index_oracle
 ORACLE_SAMPLES = 5  # random Kirillov forms per seaweed in check_kirillov_oracle
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 import meandre.verify
@@ -12,6 +10,6 @@ def closed_form_fault(monkeypatch):
 
     def faulty(q, *, closed_form=False):
         chain = real(q, closed_form=closed_form)
-        return replace(chain, total_index=chain.total_index + 1) if closed_form else chain
+        return chain._replace(total_index=chain.total_index + 1) if closed_form else chain
 
     monkeypatch.setattr(meandre.verify, "reduction_chain", faulty)

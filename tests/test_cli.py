@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meandre
 import meandre.cli
 import meandre.index
 import meandre.io_render
@@ -472,7 +475,7 @@ def test_verify_rejects_samples_below_1_before_any_check(capsys, monkeypatch, sa
     def no_checks(*args, **kwargs):
         raise AssertionError("verify ran its checks")
 
-    monkeypatch.setattr("meandre.cli.run_all", no_checks)
+    monkeypatch.setattr("meandre.verify.run_all", no_checks)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--samples", samples])
     captured = capsys.readouterr()
@@ -495,6 +498,54 @@ def test_verify_inject_fault_exits_1(capsys, closed_form_fault):
     assert code == 1
     assert "FAIL (1 of 11 checks)" in err
     assert "n=1" in out  # the offending seaweed is named
+
+
+# Run in a fresh interpreter: prints, as JSON lists, the modules that
+# `import meandre.cli` and an `index` command add to a bare interpreter's,
+# then those that reading `meandre.index_oracle` adds, then those of `verify`.
+COLD_START = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+seen = set(sys.modules)
+def added():
+    global seen
+    fresh = sorted(set(sys.modules) - seen)
+    seen |= set(fresh)
+    return fresh
+import meandre.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert meandre.cli.main(["index", "--series", "C", "--n", "10", "--top", "3,3", "--bottom", "4,5"]) == 0
+steps = [added()]
+import meandre
+meandre.index_oracle
+steps.append(added())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert meandre.cli.main(["verify", "--max-n", "1", "--oracle-max-n", "1", "--census-max-n", "1"]) == 0
+steps.append(added())
+print(json.dumps(steps))
+"""
+
+
+def test_cold_start_loads_no_dataclasses_verify_or_oracle():
+    root = str(Path(meandre.cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, root],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    index, oracle, verify = map(set, json.loads(done.stdout))
+    assert "meandre.cli" in index
+    assert index.isdisjoint({"dataclasses", "inspect", "meandre.verify", "meandre.oracle"})
+    assert "meandre.oracle" in oracle and "meandre.verify" not in oracle
+    assert "meandre.verify" in verify
+
+
+def test_star_import_binds_every_exported_name():
+    names: dict = {}
+    exec("from meandre import *", names)
+    assert set(meandre.__all__) <= set(names)
+    assert names["index_oracle"] is meandre.oracle.index_oracle
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        meandre.missing
 
 
 def test_usage_error_exits_2(capsys):

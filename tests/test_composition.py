@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.composition import (
     Composition,
+    SeaweedC,
     Series,
     canonical_pair,
     parse_composition,
@@ -106,6 +110,55 @@ def test_series_given_as_its_letter():
 def test_seaweed_a_requires_equal_totals():
     with pytest.raises(ValueError, match="equal totals"):
         make_seaweed_a("2", "1,2")
+
+
+def test_descriptor_equality_is_type_strict_and_hash_follows_it():
+    assert Composition((1, 2)) != (1, 2)
+    assert Composition() == Composition(()) and Composition().parts == ()
+    a, c = make_seaweed_a("1,2", "2,1"), make_seaweed_c(3, "1,2", "2,1")
+    assert a != c and c != a and a != (a.top, a.bottom)
+    twin = SeaweedC(3, Composition((1, 2)), Composition((2, 1)), "C")
+    assert twin == c and hash(twin) == hash(c)
+    assert hash(make_seaweed_a("1,2", "2,1")) == hash(a)
+    assert len({c, twin, c.swap()}) == 2
+
+
+def test_descriptor_fields_refuse_assignment_and_deletion():
+    q = make_seaweed_c(3, "1,2", "2,1")
+    for record, name in ((q, "rank"), (q.top, "parts"), (q.top, "total"), (symmetrize(q), "top")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        q.extra = 1
+    assert q.rank == 3 and q.top.parts == (1, 2)
+
+
+def test_descriptor_reprs_are_pinned():
+    assert repr(Composition()) == "Composition(parts=(), total=0)"
+    assert repr(make_seaweed_a("5,2,2", "2,4,3")) == (
+        "SeaweedA(top=Composition(parts=(5, 2, 2), total=9), "
+        "bottom=Composition(parts=(2, 4, 3), total=9))"
+    )
+    assert repr(SeaweedC(10, Composition((3, 3)), Composition((4, 5)), "B")) == (
+        "SeaweedC(rank=10, top=Composition(parts=(3, 3), total=6), "
+        "bottom=Composition(parts=(4, 5), total=9), series=<Series.SO_ODD: 'B'>)"
+    )
+
+
+def test_descriptors_survive_pickle_and_deepcopy():
+    records = [
+        Composition(),
+        Composition((3, 1)),
+        make_seaweed_a("5,2,2", "2,4,3"),
+        make_seaweed_c(10, "3,3", "4,5", "B"),
+    ]
+    for record in records:
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert type(copied) is type(record)
+            assert copied == record and hash(copied) == hash(record)
+            assert repr(copied) == repr(record)
 
 
 def test_symmetrize_examples():
