@@ -20,9 +20,10 @@ Two routes give the census, one counting and one listing:
   step is one call of `index.closed_form_step`, O(1); a walk takes about
   parts x log(part size) steps.  Rows 1-20 take about 1.8 s
   (`census --n 20`, 2-core x86).
-* `frobenius_seaweeds` lists the classes by building and analyzing the
-  meander graph of each of the 4^n pairs.  It is the reference the count
-  is checked against.
+* `frobenius_seaweeds` lists the classes by counting the components of
+  the meander graph of every (full | deficient) pair (`meander.pair_counts`,
+  each side's half built once per k and shared by its pairs; no `analyze`
+  report is built).  It is the reference the count is checked against.
 
 `clear_census_cache` drops the memo of both.
 """
@@ -32,8 +33,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .composition import Composition, SeaweedA, SeaweedC, canonical_pair
+from .composition import Composition, SeaweedA, SeaweedC
 from .index import closed_form_step, index_c
+from .meander import pair_counts
 
 def composition_from_mask(m: int, mask: int) -> Composition:
     """Composition of m cut at the gaps set in mask (MSB = leftmost gap)."""
@@ -68,11 +70,16 @@ def compositions_of(m: int) -> Iterator[Composition]:
         yield composition_from_mask(m, mask)
 
 
+def rank_sides(n: int) -> list[Composition]:
+    """The 2^n sides of a rank-n descriptor: every composition of 0..n."""
+    return [c for m in range(n + 1) for c in compositions_of(m)]
+
+
 def seaweed_pairs(n: int) -> Iterator[SeaweedC]:
     """All 4^n ordered descriptor pairs at rank n (totals independently <= n)."""
-    comps = [c for m in range(n + 1) for c in compositions_of(m)]
-    for top in comps:
-        for bottom in comps:
+    sides = rank_sides(n)
+    for top in sides:
+        for bottom in sides:
             yield SeaweedC(n, top, bottom)
 
 
@@ -89,14 +96,10 @@ def _frobenius_by_k(n: int) -> tuple[tuple[SeaweedC, ...], ...]:
     groups: list[tuple[SeaweedC, ...]] = []
     fulls = list(compositions_of(n))
     for k in range(1, n + 1):
-        deficients = list(compositions_of(n - k))
-        found = [
-            canonical_pair(q)
-            for full in fulls
-            for deficient in deficients
-            if index_c(q := SeaweedC(n, deficient, full)) == 0
-        ]
-        groups.append(tuple(found))
+        # (full | deficient) is the canonical side order, and its graph is the
+        # (deficient | full) graph reflected in the line: the same counts.
+        pairs = pair_counts(fulls, list(compositions_of(n - k)), n)
+        groups.append(tuple(SeaweedC(n, f, d) for f, d, counts in pairs if counts.index == 0))
     return tuple(groups)
 
 

@@ -16,12 +16,14 @@ construction; nothing re-checks them.  Each side is stored as a partner
 array, filled in one pass over the parts (a doubled type-C side over its
 own parts and middle part, then mirrored): partner[v] is the other end of
 v's arc on that side, 0 if v has none.  `graph_counts` walks them to count
-(the index routes), `analyze` (its reference) to list components.
+(the index routes), `analyze` (its reference) to list components.  The
+exhaustive scans count with `pair_counts`, which builds each side's array
+once and pairs it with every other side's.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .composition import Composition, SeaweedA, SeaweedC
 
@@ -221,3 +223,30 @@ def graph_counts(g: MeanderGraph) -> ComponentCounts:
         stable += end + other == mirror
         loose += end + other != mirror
     return ComponentCounts(cycles, stable, loose, g.symmetric)
+
+
+def pair_counts(
+    tops: Sequence[Composition], bottoms: Sequence[Composition], rank: int | None = None
+) -> Iterator[tuple[Composition, Composition, ComponentCounts]]:
+    """(top, bottom, `graph_counts` of their graph) for every top and bottom,
+    top outermost: type C/B graphs at `rank`, each side doubled with its
+    defect, or gl graphs when rank is None.  Each side's partner array is
+    built once per call, not once per pair; a pair is yielded as it is
+    counted and nothing is kept.  ValueError for a side over the rank or,
+    in gl, sides of different totals."""
+    sides = {*tops, *bottoms}
+    if rank is None:
+        if len({side.total for side in sides}) > 1:
+            raise ValueError("gl sides must have one total")
+        halves = {side: _partner(side.parts) for side in sides}
+    else:
+        if any(side.total > rank for side in sides):
+            raise ValueError(f"a side exceeds rank {rank}")
+        halves = {side: _doubled_partner(side, rank - side.total) for side in sides}
+    symmetric = rank is not None
+    bottom_halves = [(bottom, halves[bottom]) for bottom in bottoms]
+    for top in tops:
+        top_half = halves[top]
+        size = len(top_half) - 1
+        for bottom, bottom_half in bottom_halves:
+            yield top, bottom, graph_counts(MeanderGraph(size, top_half, bottom_half, symmetric))

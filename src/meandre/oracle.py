@@ -25,12 +25,16 @@ basis element (a lone E_ij on the antidiagonal, E_ij - eps(i)eps(j) E_j*i*
 otherwise).  Brackets of basis elements are expanded by reading entries at
 the representative positions, with a reconstruction check that the span is
 closed.  That is done once per rank for all of sp(2n) (`_sp_table`: 0.1 s,
-0.6 MB for ranks 1-7); a seaweed keeps its admissible elements in that order
-and the table restricted to them.
+0.6 MB for ranks 1-7), each table entry with the bitmask of the elements in
+its bracket; a seaweed keeps its admissible elements in that order, as a
+bitmask too, and the table restricted to them, so the closure check is one
+mask test per bracket.
 
-Rank over GF(p).  Each Kirillov form is written as the dicts of the nonzero
-entries of its strict upper triangle, reduced mod PRIME = 2^30 - 35, and
-ranked by `pfaffian_rank`, a sparse Pfaffian elimination over GF(PRIME):
+Rank over GF(p).  Each Kirillov form is written, as it is assembled, into
+full rows: the dicts of its nonzero entries on both sides of the diagonal,
+reduced mod PRIME = 2^30 - 35.  The rows are ranked in place, with no copy,
+by `_rank_of_rows`, a sparse Pfaffian elimination over GF(PRIME) that
+`pfaffian_rank` (a strict upper triangle, checked and mirrored) also calls:
 the pivot is the first live index i with its neighbour j of least degree,
 so only the rows and columns in supp(i) | supp(j) are updated (in
 `verify --oracle-max-n 5` the forms at ranks 2-6 are 60-24 % nonzero).
@@ -74,7 +78,8 @@ class MatrixAlgebraBasis(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _sp_table(n: int) -> tuple[tuple[tuple[Entry, ...], ...], tuple[tuple, ...]]:
     """The orbit basis of sp(2n), in row-major order of each element's first
-    entry, and its bracket table: rows[u] lists (v, coeffs of [x_u, x_v]), v > u."""
+    entry, and its bracket table: rows[u] lists (v, coeffs of [x_u, x_v],
+    the bitmask of the w in those coeffs), v > u."""
     size = 2 * n
     eps = [1 if i < n else -1 for i in range(size)]
     elements: list[tuple[Entry, ...]] = []
@@ -91,8 +96,17 @@ def _sp_table(n: int) -> tuple[tuple[tuple[Entry, ...], ...], tuple[tuple, ...]]
     rows = []
     for u, x in enumerate(elements):
         brackets = ((v, _sparse_bracket(x, elements[v])) for v in range(u + 1, len(elements)))
-        rows.append(tuple((v, _expand(b, rep_of, elements)) for v, b in brackets if b))
+        expanded = ((v, _expand(b, rep_of, elements)) for v, b in brackets if b)
+        rows.append(tuple((v, coeffs, _mask(w for w, _ in coeffs)) for v, coeffs in expanded))
     return tuple(elements), tuple(rows)
+
+
+def _mask(indices) -> int:
+    """The bitmask with bit w set for each w in `indices`."""
+    mask = 0
+    for w in indices:
+        mask |= 1 << w
+    return mask
 
 
 def build_seaweed_matrices(q: SeaweedC) -> MatrixAlgebraBasis:
@@ -102,27 +116,36 @@ def build_seaweed_matrices(q: SeaweedC) -> MatrixAlgebraBasis:
     bottom = doubled(q.bottom, q.bottom_defect)
     blk_top = [b for b, part in enumerate(top) for _ in range(part)]
     blk_bottom = [b for b, part in enumerate(bottom) for _ in range(part)]
-
-    def admissible(i: int, j: int) -> bool:
-        return blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
+    mirror = [2 * n - 1 - i for i in range(2 * n)]
 
     elements, rows = _sp_table(n)
-    renumber: dict[int, int] = {}  # kept element of sp(2n) -> its seaweed number
-    for k, ((i, j, _), *_) in enumerate(elements):
-        if admissible(i, j):
+    kept: list[int] = []  # the admissible elements of sp(2n), in table order
+    for k, x in enumerate(elements):
+        i, j, _ = x[0]
+        if blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]:
             # Block structure of a doubled descriptor is palindromic, so the
             # admissible set is closed under the anti-transpose.
-            assert admissible(2 * n - 1 - j, 2 * n - 1 - i)
-            renumber[k] = len(renumber)
+            i, j = mirror[j], mirror[i]
+            assert blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
+            kept.append(k)
+    kept_mask = _mask(kept)
+    outside = ~kept_mask
+    renumber = [0] * len(elements)  # kept element -> its seaweed number
+    for u, k in enumerate(kept):
+        renumber[k] = u
 
     structure: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for u, k in enumerate(renumber):
-        for v, coeffs in rows[k]:
-            if v in renumber:
-                if any(w not in renumber for w, _ in coeffs):
+    for u, k in enumerate(kept):
+        for v, coeffs, wmask in rows[k]:
+            if kept_mask >> v & 1:
+                if wmask & outside:
                     raise AssertionError("bracket left the span: basis is not closed")
-                structure[(u, renumber[v])] = tuple((renumber[w], c) for w, c in coeffs)
-    return MatrixAlgebraBasis(tuple(elements[k] for k in renumber), structure)
+                if len(coeffs) == 1:  # most brackets are one basis element
+                    ((w, c),) = coeffs
+                    structure[u, renumber[v]] = ((renumber[w], c),)
+                else:
+                    structure[u, renumber[v]] = tuple([(renumber[w], c) for w, c in coeffs])
+    return MatrixAlgebraBasis(tuple([elements[k] for k in kept]), structure)
 
 
 def _check_sp_membership(entries: Sequence[Entry], size: int, eps: Sequence[int]) -> None:
@@ -167,19 +190,8 @@ def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:
     """Rank over GF(PRIME) of an alternating integer matrix A, given by its
     strict upper triangle: upper[k] maps each l > k to A[k][l] (missing
     entries are zero).  Entries are reduced mod PRIME; ValueError for an
-    entry on or below the diagonal or at l >= len(upper).
-
-    Sparse Pfaffian elimination on full rows (dicts of the nonzero entries
-    on both sides of the diagonal): pivot on the first live index i and its
-    neighbour j of least degree, a = A[i][j]; remove both and update, for k
-    and l in supp(i) | supp(j),
-
-        A[k][l] <- A[k][l] + (A[j][k]*A[i][l] - A[i][k]*A[j][l]) / a,
-
-    the Schur complement of the 2x2 block on {i, j}, which is alternating
-    again; add 2 to the rank.  No other row or column changes, and an index
-    whose row is empty is dropped (its column is empty too).  The rank mod
-    a prime never exceeds the rank over Q: a minor nonzero mod p is nonzero.
+    entry on or below the diagonal or at l >= len(upper).  The triangle is
+    mirrored into full rows and ranked by `_rank_of_rows`.
     """
     dim = len(upper)
     rows: list[dict[int, int]] = [{} for _ in range(dim)]
@@ -190,6 +202,26 @@ def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:
         for l, value in row.items():
             if value := value % PRIME:
                 at_k[l], rows[l][k] = value, PRIME - value
+    return _rank_of_rows(rows)
+
+
+def _rank_of_rows(rows: list[dict[int, int]]) -> int:
+    """Rank over GF(PRIME) of the alternating matrix A given by its full
+    rows: rows[k] maps each l with A[k][l] != 0 mod PRIME to that residue,
+    so rows[l][k] = PRIME - rows[k][l].  Nothing is checked, and the rows
+    are used up.
+
+    Sparse Pfaffian elimination: pivot on the first live index i and its
+    neighbour j of least degree, a = A[i][j]; remove both and update, for k
+    and l in supp(i) | supp(j),
+
+        A[k][l] <- A[k][l] + (A[j][k]*A[i][l] - A[i][k]*A[j][l]) / a,
+
+    the Schur complement of the 2x2 block on {i, j}, which is alternating
+    again; add 2 to the rank.  No other row or column changes, and an index
+    whose row is empty is dropped (its column is empty too).  The rank mod
+    a prime never exceeds the rank over Q: a minor nonzero mod p is nonzero.
+    """
     rank = 0
     for i, at_i in enumerate(rows):
         if not at_i:
@@ -197,12 +229,16 @@ def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:
         j = min(zip(map(len, map(rows.__getitem__, at_i)), at_i))[1]  # least degree
         at_j = rows[j]
         rows[j] = {}  # j is spent; the loop reaches it later and skips it
-        inverse = pow(at_i.pop(j), -1, PRIME)
+        a = at_i.pop(j)
         del at_j[i]
         for k in at_i:
             del rows[k][i]
         for k in at_j:
             del rows[k][j]
+        rank += 2
+        if not (at_i and at_j):
+            continue  # x or y below is zero: no row gains anything
+        inverse = pow(a, -1, PRIME)
         # With x = A[i][.]/a and y = A[j][.], row k gains y_k*x - x_k*y.  Split
         # the supports into only i's (X), both (B) and only j's (Y), keeping
         # each index's row: the gain vanishes on X x X and Y x Y, and every
@@ -238,7 +274,6 @@ def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:
                     row[l], row_l[k] = value, PRIME - value
                 elif l in row:  # a two-term gain can vanish by itself
                     del row[l], row_l[k]
-        rank += 2
     return rank
 
 
@@ -260,14 +295,14 @@ def index_oracle(q: SeaweedC, samples: int = 5, *, seed: int | None = 0) -> int:
     best = 0
     for _ in range(samples):
         coords = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(dim)]
-        form: list[dict[int, int]] = [{} for _ in range(dim)]  # strict upper triangle
+        form: list[dict[int, int]] = [{} for _ in range(dim)]  # full rows, both triangles
         for (u, v), terms in basis.structure.items():
             value = 0
             for w, c in terms:
                 value += c * coords[w]
             if value := value % PRIME:
-                form[u][v] = value
-        best = max(best, pfaffian_rank(form))
+                form[u][v], form[v][u] = value, PRIME - value
+        best = max(best, _rank_of_rows(form))
         if best == full:
             break
     return dim - best

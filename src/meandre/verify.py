@@ -11,6 +11,11 @@ Three families of checks, all exact:
   component structure, the rank-raising embeddings, tail
   stabilization and the gl(n) transfer counts.
 
+The exhaustive scans over all pairs of sides (index methods, the one
+full side, the gl transfer) and the expected values of the oracle's
+exhaustive pass take their graph counts from `meander.pair_counts`, which
+builds each side's half of the graph once per rank instead of once per pair.
+
 Each check returns a CheckResult with a minimal counterexample on failure.
 """
 
@@ -19,18 +24,19 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .composition import SeaweedA, SeaweedC, canonical_pair, symmetrize
+from .composition import Composition, SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
     compositions_of,
     frobenius_census,
     frobenius_seaweeds,
     hat_map,
     embed_up,
+    rank_sides,
     seaweed_pairs,
     to_type_a,
 )
-from .index import index_a_gl, index_c, reduction_chain
-from .meander import analyze, build_graph_c
+from .index import component_counts, index_a_gl, index_c, reduction_chain
+from .meander import analyze, build_graph_c, pair_counts
 from .oracle import index_oracle
 
 ORACLE_SAMPLES = 5  # random Kirillov forms per seaweed in check_kirillov_oracle
@@ -57,8 +63,10 @@ def check_index_methods(max_n: int) -> CheckResult:
     name = "index-methods-agree"
     checked = 0
     for n in range(1, max_n + 1):
-        for q in seaweed_pairs(n):
-            graph = index_c(q)
+        sides = rank_sides(n)
+        for top, bottom, counts in pair_counts(sides, sides, n):
+            q = SeaweedC(n, top, bottom)
+            graph = counts.index
             stepwise = reduction_chain(q).total_index
             closed = reduction_chain(q, closed_form=True).total_index
             if not graph == stepwise == closed:
@@ -80,15 +88,16 @@ def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
     """
     name = "kirillov-oracle-agrees"
     rng = random.Random(seed)
-    pool: list[SeaweedC] = []
+    pool: list[tuple[SeaweedC, int]] = []  # each seaweed with its graph-route index
     for n in range(1, max_n + 1):
-        pool.extend(seaweed_pairs(n))
+        sides = rank_sides(n)
+        pairs = pair_counts(sides, sides, n)
+        pool.extend((SeaweedC(n, top, bottom), counts.index) for top, bottom, counts in pairs)
     sample_rank = max_n + 1
     above = list(seaweed_pairs(sample_rank))
     sampled = min(50, len(above))
-    pool.extend(rng.sample(above, sampled))
-    for q in pool:
-        expected = index_c(q)
+    pool.extend((q, index_c(q)) for q in rng.sample(above, sampled))
+    for q, expected in pool:
         got = index_oracle(q, ORACLE_SAMPLES, seed=rng.randrange(2**30))
         if got != expected:
             return _fail(name, f"oracle {got}, graph {expected}", q)
@@ -104,25 +113,41 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
     name = "frobenius-one-full-side"
     for n in range(1, census_max_n + 1):
         by_k: dict[int, set[SeaweedC]] = {}
-        for q in seaweed_pairs(n):
-            if index_c(q) != 0:
+        sides = rank_sides(n)
+        for top, bottom, counts in pair_counts(sides, sides, n):
+            if counts.index != 0:
                 continue
-            full_sides = (q.top.total == n) + (q.bottom.total == n)
+            q = SeaweedC(n, top, bottom)
+            full_sides = (top.total == n) + (bottom.total == n)
             if full_sides != 1:
                 return _fail(name, f"index 0 with {full_sides} full sides", q)
-            k = n - min(q.top.total, q.bottom.total)
+            k = n - min(top.total, bottom.total)
             by_k.setdefault(k, set()).add(canonical_pair(q))
         row = frobenius_census(n)
         scanned = tuple(len(by_k.get(k, ())) for k in range(1, n + 1))
         if scanned != row.by_k:
             return CheckResult(
-                name, False, f"full scan {scanned} != census {row.by_k} at n={n}"
+                name,
+                False,
+                f"full scan {scanned} != census {row.by_k} at n={n}",
+                counterexample=_graph_walk_mismatch(n, sides),
             )
     return CheckResult(
         name,
         True,
         f"full 4^n scans to rank {census_max_n} match the census DP",
     )
+
+
+def _graph_walk_mismatch(n: int, sides: list[Composition]) -> str | None:
+    """The first rank-n pair whose graph count and closed-form walk give
+    different indices, or None: it locates a scan that disagrees with the
+    census DP when the graph route is at fault."""
+    for top, bottom, counts in pair_counts(sides, sides, n):
+        q = SeaweedC(n, top, bottom)
+        if counts.index != component_counts(q).index:
+            return str(q)
+    return None
 
 
 def _check_component_structure(census_max_n: int) -> CheckResult:
@@ -221,13 +246,9 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
     for n in range(1, census_max_n + 1):
         found = {1: 0, 2: 0}
         comps = list(compositions_of(n))
-        for top in comps:
-            last = top.parts[-1]
-            if last not in (1, 2):
-                continue
-            for bottom in comps:
-                if index_a_gl(SeaweedA(top, bottom)) == 1:
-                    found[last] += 1
+        tops = [top for top in comps if top.parts[-1] in (1, 2)]
+        for top, _, counts in pair_counts(tops, comps):
+            found[top.parts[-1]] += counts.index == 1
         row = frobenius_census(n)
         for k in range(1, min(n, 2) + 1):
             if found[k] != row.by_k[k - 1]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meandre import make_seaweed_a, make_seaweed_c
 from meandre.composition import Composition, SeaweedA, SeaweedC, Series, doubled
-from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
+from meandre.enumeration import composition_from_mask, compositions_of, rank_sides, seaweed_pairs
 from meandre.meander import (
     Component,
     ComponentReport,
@@ -17,6 +17,7 @@ from meandre.meander import (
     build_graph_a,
     build_graph_c,
     graph_counts,
+    pair_counts,
 )
 
 
@@ -349,3 +350,24 @@ def test_cycle_iff_all_degree_two_exhaustive():
             for comp in analyze(g).components:
                 all_two = all(degree[v] == 2 for v in comp.vertices)
                 assert comp.is_cycle == all_two
+
+
+def test_pair_counts_count_each_pair_as_its_own_graph():
+    # the shared halves give every pair the counts of the graph built alone,
+    # in top-major order, for type C at each rank and for gl at each size
+    for n in range(0, 5):
+        sides = rank_sides(n)
+        got = [(t, b, c) for t, b, c in pair_counts(sides, sides, n)]
+        assert got == [(q.top, q.bottom, graph_counts(build_graph_c(q))) for q in seaweed_pairs(n)]
+        comps = list(compositions_of(n))
+        got = list(pair_counts(comps[::-1], comps))
+        assert got == [
+            (t, b, graph_counts(build_graph_a(SeaweedA(t, b)))) for t in comps[::-1] for b in comps
+        ]
+
+
+def test_pair_counts_refuses_sides_that_do_not_fit():
+    with pytest.raises(ValueError, match="exceeds rank"):
+        list(pair_counts([Composition((2,))], [Composition()], 1))
+    with pytest.raises(ValueError, match="one total"):
+        list(pair_counts([Composition((2,))], [Composition((1,))]))

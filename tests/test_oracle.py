@@ -117,30 +117,86 @@ def _lift(residue):
     return value
 
 
+def _recording(forms):
+    """A stand-in for oracle._rank_of_rows that records a copy of each form
+    it is given, with the rank the real routine returns for it."""
+    real = oracle._rank_of_rows
+
+    def record(rows):
+        copy = [dict(row) for row in rows]
+        rank = real(rows)
+        forms.append((copy, rank))
+        return rank
+
+    return record
+
+
 def test_pfaffian_rank_equals_exact_rank_on_sample_forms_to_rank_3(monkeypatch):
     # every form the oracle ranks, lifted back to its integer entries
-    # (|entry| <= 4 * 1000, far below p / 2), has the same rank over Q
+    # (|entry| <= 4 * 1000, far below p / 2), is alternating and has the
+    # rank over Q that the oracle's elimination returned for it
     forms = []
     checked = 0
-
-    def recording_rank(upper):
-        forms.append([dict(row) for row in upper])
-        return pfaffian_rank(upper)
-
-    monkeypatch.setattr(oracle, "pfaffian_rank", recording_rank)
+    monkeypatch.setattr(oracle, "_rank_of_rows", _recording(forms))
     for n in range(0, 4):
         for q in seaweed_pairs(n):
             for seed in range(5):
                 forms.clear()
                 index_oracle(q, 5, seed=seed)
-                for form in forms:
-                    upper = [
-                        [_lift(row.get(l, 0)) for l in range(k + 1, len(form))]
-                        for k, row in enumerate(form)
-                    ]
-                    assert pfaffian_rank(form) == fraction_rank(_mirrored(upper)), (q, seed)
-                checked += len(forms)
+                ranked = forms[:]  # pfaffian_rank below records its own forms
+                for rows, rank in ranked:
+                    dense = [[_lift(row.get(l, 0)) for l in range(len(rows))] for row in rows]
+                    assert dense == [[-x for x in col] for col in zip(*dense)], (q, seed)
+                    upper = [row[k + 1:] for k, row in enumerate(dense)]
+                    exact = fraction_rank(dense)
+                    assert rank == pfaffian_rank(_as_dicts(upper)) == exact, (q, seed)
+                checked += len(ranked)
     assert checked >= 85 * 5  # at least one form per descriptor and seed
+
+
+def _reference_oracle(q, samples, seed):
+    """index_oracle through the public pfaffian_rank: the same draws, each
+    form written as its strict upper triangle, the same stop at the
+    largest even rank.  Returns (index, number of forms ranked)."""
+    import random
+
+    basis = build_seaweed_matrices(q)
+    rng = random.Random(seed)
+    dim = basis.dimension
+    full = dim - dim % 2
+    best = ranked = 0
+    for _ in range(samples):
+        coords = [rng.randint(-oracle.COEFF_RANGE, oracle.COEFF_RANGE) for _ in range(dim)]
+        upper = [{} for _ in range(dim)]
+        for (u, v), terms in basis.structure.items():
+            upper[u][v] = sum(c * coords[w] for w, c in terms)
+        best = max(best, pfaffian_rank(upper))
+        ranked += 1
+        if best == full:
+            break
+    return dim - best, ranked
+
+
+def test_oracle_full_rows_rank_as_pfaffian_rank_to_rank_4(monkeypatch):
+    # the full rows index_oracle writes are mirrored residues; their upper
+    # triangle has the same rank under pfaffian_rank as the rows under the
+    # elimination core, and each call ranks as many forms as the upper-
+    # triangle reference does
+    forms = []
+    monkeypatch.setattr(oracle, "_rank_of_rows", _recording(forms))
+    for n in range(0, 5):
+        for q in seaweed_pairs(n):
+            for seed in range(3):
+                forms.clear()
+                got = index_oracle(q, 5, seed=seed)
+                ranked = forms[:]  # pfaffian_rank below records its own forms
+                assert (got, len(ranked)) == _reference_oracle(q, 5, seed), (q, seed)
+                for rows, rank in ranked:
+                    for k, row in enumerate(rows):
+                        for l, x in row.items():
+                            assert 0 < x < oracle.PRIME and rows[l][k] == oracle.PRIME - x
+                    upper = [{l: x for l, x in row.items() if l > k} for k, row in enumerate(rows)]
+                    assert pfaffian_rank(upper) == rank, (q, seed)
 
 
 def _dense(entries, size):
@@ -222,12 +278,7 @@ def test_index_oracle_known_values():
 def test_index_oracle_stops_at_the_largest_even_rank(monkeypatch):
     # dim 1: an alternating form has even rank, so rank 0 after one sample is final
     calls = []
-
-    def counting_rank(upper):
-        calls.append(upper)
-        return pfaffian_rank(upper)
-
-    monkeypatch.setattr(oracle, "pfaffian_rank", counting_rank)
+    monkeypatch.setattr(oracle, "_rank_of_rows", _recording(calls))
     assert index_oracle(make_seaweed_c(1, "1", "1"), 5) == 1
     assert len(calls) == 1
 
@@ -305,11 +356,33 @@ def direct_seaweed_matrices(q):
 
 
 def test_restricted_table_equals_the_direct_build_to_rank_5():
-    oracle._sp_table.cache_clear()
-    for n in range(0, 6):
-        for q in seaweed_pairs(n):
-            basis = build_seaweed_matrices(q)
-            elements, structure = direct_seaweed_matrices(q)
-            assert basis.elements == elements, q
-            assert list(basis.structure.items()) == list(structure.items()), q
+    # once on whatever tables are cached, once on tables built afresh
+    for fresh in (False, True):
+        if fresh:
+            oracle._sp_table.cache_clear()
+        for n in range(0, 6):
+            for q in seaweed_pairs(n):
+                basis = build_seaweed_matrices(q)
+                elements, structure = direct_seaweed_matrices(q)
+                assert basis.elements == elements, q
+                assert list(basis.structure.items()) == list(structure.items()), q
+        for n in range(0, 6):  # each row entry carries the bitmask of its w
+            for row in oracle._sp_table(n)[1]:
+                for _, coeffs, wmask in row:
+                    assert wmask == sum(1 << w for w in {w for w, _ in coeffs})
     assert oracle._sp_table.cache_info().currsize == 6  # one table per rank
+
+
+def test_a_bracket_leaving_the_span_is_refused(monkeypatch):
+    # (∅ | 1) at rank 1 keeps two of sp(2)'s three elements; a table row that
+    # puts the third into the bracket of the kept two must raise
+    q = make_seaweed_c(1, "", "1")
+    elements, rows = oracle._sp_table(1)
+    kept = [k for k, x in enumerate(elements) if x in build_seaweed_matrices(q).elements]
+    (outside,) = set(range(len(elements))) - set(kept)
+    u, v = kept
+    bad = list(rows)
+    bad[u] = ((v, ((outside, 1),), 1 << outside),)
+    monkeypatch.setattr(oracle, "_sp_table", lambda n: (elements, tuple(bad)))
+    with pytest.raises(AssertionError, match="bracket left the span"):
+        build_seaweed_matrices(q)

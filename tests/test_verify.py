@@ -1,4 +1,8 @@
+import pytest
+
+from meandre import meander
 from meandre.verify import (
+    _check_one_full_side,
     check_index_methods,
     check_kirillov_oracle,
     check_structure,
@@ -49,3 +53,32 @@ def test_run_all_shape():
     results = run_all(max_n=3, oracle_max_n=2, census_max_n=4, seed=0)
     assert len(results) == 11
     assert all(r.passed for r in results)
+
+
+def _without_central_arcs(real):
+    """A doubled side whose middle part is all 1s: no central arcs."""
+    def half(side, defect):
+        return meander._partner(side.parts + (1,) * (2 * defect) + side.parts[::-1])
+
+    return half
+
+
+def _one_cycle_more(real):
+    def counts(g):
+        found = real(g)
+        return found._replace(cycles=found.cycles + 1)
+
+    return counts
+
+
+@pytest.mark.parametrize(
+    "target, fault",
+    [("_doubled_partner", _without_central_arcs), ("graph_counts", _one_cycle_more)],
+)
+def test_the_scans_count_on_the_graph(monkeypatch, target, fault):
+    # the exhaustive scans take their index from the graph: a wrong graph
+    # half or a wrong count fails both and names a rank-1 descriptor
+    monkeypatch.setattr(meander, target, fault(getattr(meander, target)))
+    for result in (check_index_methods(3), _check_one_full_side(3)):
+        assert not result.passed, result
+        assert result.counterexample is not None and "n=1" in result.counterexample, result
