@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,8 +159,6 @@ def _reference_oracle(q, samples, seed):
     """index_oracle through the public pfaffian_rank: the same draws, each
     form written as its strict upper triangle, the same stop at the
     largest even rank.  Returns (index, number of forms ranked)."""
-    import random
-
     basis = build_seaweed_matrices(q)
     rng = random.Random(seed)
     dim = basis.dimension
