@@ -63,10 +63,10 @@ from .io_render import (
 )
 
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
-BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 3 s and 0.5 s at rank 8, 4x more per rank
+BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 3 s and 0.4 s at rank 8, 4x more per rank
 STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
 REDUCE_MAX_PARTS = 10_000_000  # reduce's parts: (1^2828 | 2^2828) prints 10.0 M in 4.6 s
-ORACLE_MAX_N = 6  # the oracle's exhaustive pass: about 2.5 s at rank 6, 11 s at 7 (2-core x86)
+ORACLE_MAX_N = 6  # the oracle's exhaustive pass: about 2.2 s at rank 6, 12 s at 7 (2-core x86)
 
 
 def _check_bounds(*flags: tuple[str, int, int]) -> None:

@@ -230,17 +230,17 @@ def reduction_steps(q: SeaweedC, *, closed_form: bool = False) -> Iterator[Reduc
     shares the rest with the step before.  Descriptors are built when read;
     a caller that lets each step go keeps only the latest one alive.
     """
-    a, b = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
-    top, bottom = _cons(a), _cons(b)
-    depth_a, depth_b = len(a), len(b)  # the walk's stack sizes before the step
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    top, bottom = _cons(stacks[0]), _cons(stacks[1])
+    depths = len(stacks[0]), len(stacks[1])  # the walk's stack sizes before the step
     series = q.series
     state = _State(q.rank, top, bottom, series, q)
-    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, a, b, closed_form=closed_form):
+    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
         if swapped:
-            top, bottom, depth_a, depth_b = bottom, top, depth_b, depth_a
+            top, bottom, depths = bottom, top, depths[::-1]
         # Only each old leading part changed: pop it and push the stack above it.
-        top, bottom = _cons(a[depth_a - 1:], top[1]), _cons(b[depth_b - 1:], bottom[1])
-        depth_a, depth_b = len(a), len(b)
+        top, bottom = _cons(a[depths[0] - 1:], top[1]), _cons(b[depths[1] - 1:], bottom[1])
+        depths = len(a), len(b)
         after = _State(rank, top, bottom, series)
         yield ReductionStep(rule, delta, swapped, p, state, after)
         state = after

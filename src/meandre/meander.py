@@ -131,20 +131,29 @@ class ComponentReport(NamedTuple):
         return sum(len(c.vertices) - (0 if c.is_cycle else 1) for c in self.components)
 
 
+def _side_partner(side: Composition, rank: int | None) -> Partner:
+    """One side's partner array: its own parts in a gl graph (rank None), its
+    parts doubled with the defect rank - total in a type-C graph of `rank`."""
+    if rank is None:
+        return _partner(side.parts)
+    return _doubled_partner(side, rank - side.total)
+
+
+def _graph(top: Partner, bottom: Partner, rank: int | None) -> MeanderGraph:
+    """The graph of two sides' partner arrays, symmetric in type C."""
+    return MeanderGraph(len(top) - 1, top, bottom, rank is not None)
+
+
 def build_graph_a(q: SeaweedA) -> MeanderGraph:
     """Meander graph of a gl(N) seaweed: N vertices, arcs per composition part."""
-    return MeanderGraph(q.size, _partner(q.top.parts), _partner(q.bottom.parts))
+    return _graph(_side_partner(q.top, None), _side_partner(q.bottom, None), None)
 
 
 def build_graph_c(q: SeaweedC) -> MeanderGraph:
     """Meander graph of a type-C seaweed: the graph of its doubled descriptor,
     each side's parts built once and mirrored (`_doubled_partner`)."""
-    return MeanderGraph(
-        2 * q.rank,
-        _doubled_partner(q.top, q.top_defect),
-        _doubled_partner(q.bottom, q.bottom_defect),
-        symmetric=True,
-    )
+    n = q.rank
+    return _graph(_side_partner(q.top, n), _side_partner(q.bottom, n), n)
 
 
 def analyze(g: MeanderGraph) -> ComponentReport:
@@ -229,24 +238,19 @@ def pair_counts(
     tops: Sequence[Composition], bottoms: Sequence[Composition], rank: int | None = None
 ) -> Iterator[tuple[Composition, Composition, ComponentCounts]]:
     """(top, bottom, `graph_counts` of their graph) for every top and bottom,
-    top outermost: type C/B graphs at `rank`, each side doubled with its
-    defect, or gl graphs when rank is None.  Each side's partner array is
+    top outermost, each graph as `build_graph_c` makes it at `rank`
+    (`build_graph_a` when rank is None).  Each side's partner array is
     built once per call, not once per pair; a pair is yielded as it is
     counted and nothing is kept.  ValueError for a side over the rank or,
     in gl, sides of different totals."""
     sides = {*tops, *bottoms}
-    if rank is None:
-        if len({side.total for side in sides}) > 1:
-            raise ValueError("gl sides must have one total")
-        halves = {side: _partner(side.parts) for side in sides}
-    else:
-        if any(side.total > rank for side in sides):
-            raise ValueError(f"a side exceeds rank {rank}")
-        halves = {side: _doubled_partner(side, rank - side.total) for side in sides}
-    symmetric = rank is not None
+    if rank is None and len({side.total for side in sides}) > 1:
+        raise ValueError("gl sides must have one total")
+    if rank is not None and any(side.total > rank for side in sides):
+        raise ValueError(f"a side exceeds rank {rank}")
+    halves = {side: _side_partner(side, rank) for side in sides}
     bottom_halves = [(bottom, halves[bottom]) for bottom in bottoms]
     for top in tops:
         top_half = halves[top]
-        size = len(top_half) - 1
         for bottom, bottom_half in bottom_halves:
-            yield top, bottom, graph_counts(MeanderGraph(size, top_half, bottom_half, symmetric))
+            yield top, bottom, graph_counts(_graph(top_half, bottom_half, rank))

@@ -116,36 +116,28 @@ def build_seaweed_matrices(q: SeaweedC) -> MatrixAlgebraBasis:
     bottom = doubled(q.bottom, q.bottom_defect)
     blk_top = [b for b, part in enumerate(top) for _ in range(part)]
     blk_bottom = [b for b, part in enumerate(bottom) for _ in range(part)]
-    mirror = [2 * n - 1 - i for i in range(2 * n)]
+
+    def admissible(i: int, j: int) -> bool:
+        return blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
 
     elements, rows = _sp_table(n)
-    kept: list[int] = []  # the admissible elements of sp(2n), in table order
-    for k, x in enumerate(elements):
-        i, j, _ = x[0]
-        if blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]:
+    renumber: dict[int, int] = {}  # kept element of sp(2n) -> its seaweed number
+    for k, ((i, j, _), *_) in enumerate(elements):
+        if admissible(i, j):
             # Block structure of a doubled descriptor is palindromic, so the
             # admissible set is closed under the anti-transpose.
-            i, j = mirror[j], mirror[i]
-            assert blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
-            kept.append(k)
-    kept_mask = _mask(kept)
-    outside = ~kept_mask
-    renumber = [0] * len(elements)  # kept element -> its seaweed number
-    for u, k in enumerate(kept):
-        renumber[k] = u
+            assert admissible(2 * n - 1 - j, 2 * n - 1 - i)
+            renumber[k] = len(renumber)
+    kept = _mask(renumber)
 
     structure: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for u, k in enumerate(kept):
+    for u, k in enumerate(renumber):
         for v, coeffs, wmask in rows[k]:
-            if kept_mask >> v & 1:
-                if wmask & outside:
+            if kept >> v & 1:
+                if wmask & ~kept:
                     raise AssertionError("bracket left the span: basis is not closed")
-                if len(coeffs) == 1:  # most brackets are one basis element
-                    ((w, c),) = coeffs
-                    structure[u, renumber[v]] = ((renumber[w], c),)
-                else:
-                    structure[u, renumber[v]] = tuple([(renumber[w], c) for w, c in coeffs])
-    return MatrixAlgebraBasis(tuple([elements[k] for k in kept]), structure)
+                structure[(u, renumber[v])] = tuple((renumber[w], c) for w, c in coeffs)
+    return MatrixAlgebraBasis(tuple(elements[k] for k in renumber), structure)
 
 
 def _check_sp_membership(entries: Sequence[Entry], size: int, eps: Sequence[int]) -> None:
@@ -229,16 +221,12 @@ def _rank_of_rows(rows: list[dict[int, int]]) -> int:
         j = min(zip(map(len, map(rows.__getitem__, at_i)), at_i))[1]  # least degree
         at_j = rows[j]
         rows[j] = {}  # j is spent; the loop reaches it later and skips it
-        a = at_i.pop(j)
+        inverse = pow(at_i.pop(j), -1, PRIME)
         del at_j[i]
         for k in at_i:
             del rows[k][i]
         for k in at_j:
             del rows[k][j]
-        rank += 2
-        if not (at_i and at_j):
-            continue  # x or y below is zero: no row gains anything
-        inverse = pow(a, -1, PRIME)
         # With x = A[i][.]/a and y = A[j][.], row k gains y_k*x - x_k*y.  Split
         # the supports into only i's (X), both (B) and only j's (Y), keeping
         # each index's row: the gain vanishes on X x X and Y x Y, and every
@@ -274,6 +262,7 @@ def _rank_of_rows(rows: list[dict[int, int]]) -> int:
                     row[l], row_l[k] = value, PRIME - value
                 elif l in row:  # a two-term gain can vanish by itself
                     del row[l], row_l[k]
+        rank += 2
     return rank
 
 
