@@ -7,9 +7,9 @@ Three families of checks, all exact:
 * the Kirillov-form oracle agrees with the graph count (exhaustively at
   small rank, sampled one rank higher);
 * the structural facts behind the Frobenius census: the one-full-side
-  shape (whose full 4^n scans are the reference for the census DP),
-  component structure, the rank-raising embeddings, tail
-  stabilization and the gl(n) transfer counts.
+  shape (whose full 4^n scans are the reference for the census count and
+  its listing, class for class), component structure, the rank-raising
+  embeddings, tail stabilization and the gl(n) transfer counts.
 
 The exhaustive scans over all pairs of sides (index methods, the one
 full side, the gl transfer) and the expected values of the oracle's
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .composition import Composition, SeaweedC, canonical_pair, symmetrize
+from .composition import SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
     compositions_of,
     frobenius_census,
@@ -32,10 +32,9 @@ from .enumeration import (
     hat_map,
     embed_up,
     rank_sides,
-    seaweed_pairs,
     to_type_a,
 )
-from .index import component_counts, index_a_gl, index_c, reduction_chain
+from .index import index_a_gl, index_c, reduction_chain
 from .meander import analyze, build_graph_c, pair_counts
 from .oracle import index_oracle
 
@@ -94,9 +93,13 @@ def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
         pairs = pair_counts(sides, sides, n)
         pool.extend((SeaweedC(n, top, bottom), counts.index) for top, bottom, counts in pairs)
     sample_rank = max_n + 1
-    above = list(seaweed_pairs(sample_rank))
-    sampled = min(50, len(above))
-    pool.extend((q, index_c(q)) for q in rng.sample(above, sampled))
+    sides = rank_sides(sample_rank)
+    m = len(sides)
+    sampled = min(50, m * m)
+    # The draws of sampling `seaweed_pairs(sample_rank)`, without listing it.
+    for top, bottom in (divmod(i, m) for i in rng.sample(range(m * m), sampled)):
+        q = SeaweedC(sample_rank, sides[top], sides[bottom])
+        pool.append((q, index_c(q)))
     for q, expected in pool:
         got = index_oracle(q, ORACLE_SAMPLES, seed=rng.randrange(2**30))
         if got != expected:
@@ -123,31 +126,17 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
                 return _fail(name, f"index 0 with {full_sides} full sides", q)
             k = n - min(top.total, bottom.total)
             by_k.setdefault(k, set()).add(canonical_pair(q))
-        row = frobenius_census(n)
-        scanned = tuple(len(by_k.get(k, ())) for k in range(1, n + 1))
-        if scanned != row.by_k:
-            return CheckResult(
-                name,
-                False,
-                f"full scan {scanned} != census {row.by_k} at n={n}",
-                counterexample=_graph_walk_mismatch(n, sides),
-            )
+        for k, count in enumerate(frobenius_census(n).by_k, 1):
+            scanned, listed = by_k.get(k, set()), frobenius_seaweeds(n, k)
+            if not (len(scanned) == len(listed) == count and scanned == set(listed)):
+                odd = min(map(str, scanned.symmetric_difference(listed)), default=None)
+                sizes = f"full scan {len(scanned)}, listing {len(listed)}, census {count}"
+                return CheckResult(name, False, f"at n={n}, k={k}: {sizes}", odd)
     return CheckResult(
         name,
         True,
         f"full 4^n scans to rank {census_max_n} match the census DP",
     )
-
-
-def _graph_walk_mismatch(n: int, sides: list[Composition]) -> str | None:
-    """The first rank-n pair whose graph count and closed-form walk give
-    different indices, or None: it locates a scan that disagrees with the
-    census DP when the graph route is at fault."""
-    for top, bottom, counts in pair_counts(sides, sides, n):
-        q = SeaweedC(n, top, bottom)
-        if counts.index != component_counts(q).index:
-            return str(q)
-    return None
 
 
 def _check_component_structure(census_max_n: int) -> CheckResult:

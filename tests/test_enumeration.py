@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from meandre import (
@@ -8,16 +10,17 @@ from meandre import (
     make_seaweed_c,
 )
 from meandre import index as index_module
-from meandre.composition import canonical_pair
+from meandre import meander as meander_module
+from meandre.composition import SeaweedC, canonical_pair
 from meandre.enumeration import (
-    _frobenius_by_k,
     clear_census_cache,
+    compositions_of,
     embed_up,
     frobenius_seaweeds,
     hat_map,
     to_type_a,
 )
-from meandre.meander import analyze, build_graph_a, build_graph_c
+from meandre.meander import analyze, build_graph_a, build_graph_c, pair_counts
 
 TABLE = {
     1: (1,),
@@ -42,9 +45,24 @@ def test_census_ordered_counts_are_doubled():
     assert row.by_k == tuple(2 * v for v in TABLE[5])
 
 
+@lru_cache(maxsize=None)
+def brute_force_by_k(n):
+    """The index-0 (full | deficient) classes at rank n, by k, from the
+    graph count of every pair: the listing's reference, in its order."""
+    fulls = list(compositions_of(n))
+    return tuple(
+        tuple(
+            SeaweedC(n, full, deficient)
+            for full, deficient, counts in pair_counts(fulls, list(compositions_of(n - k)), n)
+            if counts.index == 0
+        )
+        for k in range(1, n + 1)
+    )
+
+
 def test_census_dp_matches_brute_force():
     for n in range(1, 10):
-        brute = tuple(len(g) for g in _frobenius_by_k(n))
+        brute = tuple(len(g) for g in brute_force_by_k(n))
         assert frobenius_census(n).by_k == brute
         assert frobenius_census(n, ordered=True).by_k == tuple(2 * v for v in brute)
 
@@ -56,6 +74,29 @@ def test_census_builds_no_graph(monkeypatch):
     monkeypatch.setattr(index_module, "build_graph_c", no_graph)
     clear_census_cache()
     assert frobenius_census(7).by_k == TABLE[7]
+
+
+def test_listing_equals_brute_force_tuple_for_tuple():
+    for n in range(1, 10):
+        assert tuple(frobenius_seaweeds(n, k) for k in range(1, n + 1)) == brute_force_by_k(n)
+
+
+def test_listing_and_rank_maps_build_no_graph(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("enumeration built or counted a meander graph")
+
+    for module in (meander_module, index_module):
+        for name in ("build_graph_a", "build_graph_c", "graph_counts", "pair_counts"):
+            # index imports no pair_counts; meander defines all four
+            monkeypatch.setattr(module, name, no_graph, raising=module is meander_module)
+    clear_census_cache()
+    for n in range(1, 8):
+        listed = [frobenius_seaweeds(n, k) for k in range(1, n + 1)]
+        assert tuple(map(len, listed)) == TABLE[n]
+    q = make_seaweed_c(4, "2,2", "1,2")
+    assert embed_up(q) == make_seaweed_c(5, "2,2,1", "1,2")
+    assert hat_map(q) == make_seaweed_c(5, "1,2,2", "2,2")
+    assert to_type_a(q) == make_seaweed_a("1,2,1", "2,2")
 
 
 def test_census_tail_and_growth_to_rank_16():

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from meandre import meander
+import meandre.verify
+from meandre import index_c, meander
+from meandre.enumeration import frobenius_seaweeds, seaweed_pairs
 from meandre.verify import (
     _check_one_full_side,
     check_index_methods,
@@ -32,6 +36,26 @@ def test_kirillov_check_passes():
     result = check_kirillov_oracle(2, seed=0)
     assert result.passed
     assert "50 sampled at rank 3), 5 samples each" in result.detail
+
+
+@pytest.mark.parametrize("max_n", [1, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_oracle_draws_as_sampling_the_listed_pairs(monkeypatch, max_n, seed):
+    # drawing pair indices picks the seaweeds that sampling the list of all
+    # pairs would, and leaves the generator in the same state for the forms
+    calls = []
+
+    def recording_oracle(q, samples, *, seed):
+        calls.append((q, seed))
+        return index_c(q)
+
+    monkeypatch.setattr(meandre.verify, "index_oracle", recording_oracle)
+    assert check_kirillov_oracle(max_n, seed).passed
+    rng = random.Random(seed)
+    pool = [q for n in range(1, max_n + 1) for q in seaweed_pairs(n)]
+    above = list(seaweed_pairs(max_n + 1))
+    pool.extend(rng.sample(above, min(50, len(above))))
+    assert calls == [(q, rng.randrange(2**30)) for q in pool]
 
 
 def test_structure_suite_passes_at_small_bounds():
@@ -82,3 +106,16 @@ def test_the_scans_count_on_the_graph(monkeypatch, target, fault):
     for result in (check_index_methods(3), _check_one_full_side(3)):
         assert not result.passed, result
         assert result.counterexample is not None and "n=1" in result.counterexample, result
+
+
+def test_a_class_missing_from_the_listing_is_named(monkeypatch):
+    dropped = frobenius_seaweeds(3, 2)[1]
+
+    def listing(n, k):
+        return tuple(q for q in frobenius_seaweeds(n, k) if q != dropped)
+
+    monkeypatch.setattr(meandre.verify, "frobenius_seaweeds", listing)
+    result = _check_one_full_side(4)
+    assert not result.passed
+    assert result.detail == "at n=3, k=2: full scan 2, listing 1, census 2"
+    assert result.counterexample == str(dropped)
