@@ -19,16 +19,17 @@ across the antidiagonal.  Entrywise (1-based indices) that condition reads
                                                      -1 otherwise.
 
 The seaweed is cut out by the two block-triangularity conditions of the
-doubled descriptor; the admissible position set is invariant under the
-anti-transpose, and each orbit {(i,j), (2n+1-j, 2n+1-i)} contributes one
-basis element (a lone E_ij on the antidiagonal, E_ij - eps(i)eps(j) E_j*i*
-otherwise).  Brackets of basis elements are expanded by reading entries at
-the representative positions, with a reconstruction check that the span is
-closed.  That is done once per rank for all of sp(2n) (`_sp_table`: 0.1 s,
-0.6 MB for ranks 1-7), each table entry with the bitmask of the elements in
-its bracket; a seaweed keeps its admissible elements in that order, as a
-bitmask too, and the table restricted to them, so the closure check is one
-mask test per bracket.
+doubled descriptor: row i admits the columns from the start of i's top block
+to the end of its bottom block.  Both block shapes are palindromes, so the
+admissible set is invariant under the anti-transpose, and each orbit
+{(i,j), (2n+1-j, 2n+1-i)} contributes one basis element (a lone E_ij on the
+antidiagonal, E_ij - eps(i)eps(j) E_j*i* otherwise), listed row by row from
+its representative, the entry with i + j <= 2n+1.  Only those elements are
+bracketed, with no table of sp(2n): a bracket is read at the representative
+positions, which hold its coefficients, and a nonzero entry at a
+representative outside the seaweed raises.  A series-B descriptor is
+realised in sp(2n) too: the index is the same, and no so(2n+1) matrix is
+built.
 
 Rank over GF(p).  Each Kirillov form is written, as it is assembled, into
 full rows: the dicts of its nonzero entries on both sides of the diagonal,
@@ -47,8 +48,8 @@ adds one way to miss, p dividing every maximal Pfaffian of the sampled form.
 
 from __future__ import annotations
 
-import functools
 import random
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .composition import SeaweedC, doubled
@@ -75,107 +76,76 @@ class MatrixAlgebraBasis(NamedTuple):
         return len(self.elements)
 
 
-@functools.lru_cache(maxsize=None)
-def _sp_table(n: int) -> tuple[tuple[tuple[Entry, ...], ...], tuple[tuple, ...]]:
-    """The orbit basis of sp(2n), in row-major order of each element's first
-    entry, and its bracket table: rows[u] lists (v, coeffs of [x_u, x_v],
-    the bitmask of the w in those coeffs), v > u."""
-    size = 2 * n
-    eps = [1 if i < n else -1 for i in range(size)]
-    elements: list[tuple[Entry, ...]] = []
-    for i in range(size):
-        for j in range(size):
-            pi, pj = size - 1 - j, size - 1 - i
-            if (pi, pj) < (i, j):
-                continue  # handled from its partner
-            partner = () if (pi, pj) == (i, j) else ((pi, pj, -eps[i] * eps[j]),)
-            elements.append(((i, j, 1), *partner))
-            _check_sp_membership(elements[-1], size, eps)
-
-    rep_of = {x[0][:2]: k for k, x in enumerate(elements)}
-    rows = []
-    for u, x in enumerate(elements):
-        brackets = ((v, _sparse_bracket(x, elements[v])) for v in range(u + 1, len(elements)))
-        expanded = ((v, _expand(b, rep_of, elements)) for v, b in brackets if b)
-        rows.append(tuple((v, coeffs, _mask(w for w, _ in coeffs)) for v, coeffs in expanded))
-    return tuple(elements), tuple(rows)
-
-
-def _mask(indices) -> int:
-    """The bitmask with bit w set for each w in `indices`."""
-    mask = 0
-    for w in indices:
-        mask |= 1 << w
-    return mask
-
-
 def build_seaweed_matrices(q: SeaweedC) -> MatrixAlgebraBasis:
-    """Explicit integer-matrix basis of the seaweed inside sp(2n)."""
+    """Explicit integer-matrix basis of the seaweed inside sp(2n), built from
+    its own admissible positions and brackets only."""
     n = q.rank
-    top = doubled(q.top, q.top_defect)
-    bottom = doubled(q.bottom, q.bottom_defect)
-    blk_top = [b for b, part in enumerate(top) for _ in range(part)]
-    blk_bottom = [b for b, part in enumerate(bottom) for _ in range(part)]
+    size = 2 * n
+    last = size - 1
+    top, bottom = doubled(q.top, q.top_defect), doubled(q.bottom, q.bottom_defect)
+    first = [start for start, part in zip(accumulate(top, initial=0), top) for _ in range(part)]
+    final = [end - 1 for end, part in zip(accumulate(bottom), bottom) for _ in range(part)]
 
-    def admissible(i: int, j: int) -> bool:
-        return blk_top[i] <= blk_top[j] and blk_bottom[i] >= blk_bottom[j]
+    elements: list[tuple[Entry, ...]] = []
+    rep_of: dict[int, int] = {}  # i * size + j -> the element with representative (i, j)
+    by_row: list[list[Entry]] = [[] for _ in range(size)]  # (element, col, value)
+    by_col: list[list[Entry]] = [[] for _ in range(size)]  # (element, row, value)
+    for i in range(size):
+        for j in range(first[i], min(final[i], last - i) + 1):  # i + j <= 2n - 1
+            partner = _partner(i, j, n)
+            # The doubled block shapes are palindromes: the partner is admissible too.
+            assert first[partner[0]] <= partner[1] <= final[partner[0]]
+            x = ((i, j, 1),) if i + j == last else ((i, j, 1), partner)
+            _check_sp_membership(x, n)
+            rep_of[i * size + j] = k = len(elements)
+            elements.append(x)
+            for r, c, value in x:
+                by_row[r].append((k, c, value))
+                by_col[c].append((k, r, value))
 
-    elements, rows = _sp_table(n)
-    renumber: dict[int, int] = {}  # kept element of sp(2n) -> its seaweed number
-    for k, ((i, j, _), *_) in enumerate(elements):
-        if admissible(i, j):
-            # Block structure of a doubled descriptor is palindromic, so the
-            # admissible set is closed under the anti-transpose.
-            assert admissible(2 * n - 1 - j, 2 * n - 1 - i)
-            renumber[k] = len(renumber)
-    kept = _mask(renumber)
-
+    # [x_u, x_v] is in sp, so its coefficients are its entries at the
+    # representative positions; only those are summed: E_ab E_bc = E_ac, E_ra E_ab = E_rb.
     structure: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for u, k in enumerate(renumber):
-        for v, coeffs, wmask in rows[k]:
-            if kept >> v & 1:
-                if wmask & ~kept:
-                    raise AssertionError("bracket left the span: basis is not closed")
-                structure[(u, renumber[v])] = tuple((renumber[w], c) for w, c in coeffs)
-    return MatrixAlgebraBasis(tuple(elements[k] for k in renumber), structure)
+    for u, x in enumerate(elements):
+        products: dict[int, dict[int, int]] = {}  # v -> position -> entry of [x_u, x_v]
+        for a, b, s in x:
+            for v, c, t in by_row[b]:
+                if v > u and a + c <= last:
+                    at = products.setdefault(v, {})
+                    at[a * size + c] = at.get(a * size + c, 0) + s * t
+            for v, r, t in by_col[a]:
+                if v > u and r + b <= last:
+                    at = products.setdefault(v, {})
+                    at[r * size + b] = at.get(r * size + b, 0) - t * s
+        for v in sorted(products):
+            coeffs = []
+            for pos, c in products[v].items():
+                if c:
+                    if (w := rep_of.get(pos)) is None:
+                        raise AssertionError("bracket left the span: basis is not closed")
+                    coeffs.append((w, c))
+            if coeffs:
+                structure[u, v] = tuple(coeffs)
+    return MatrixAlgebraBasis(tuple(elements), structure)
 
 
-def _check_sp_membership(entries: Sequence[Entry], size: int, eps: Sequence[int]) -> None:
-    values = {(i, j): v for i, j, v in entries}
-    for (i, j), v in values.items():
-        partner = values.get((size - 1 - j, size - 1 - i), 0)
-        if v != -eps[i] * eps[j] * partner:
+def _partner(i: int, j: int, n: int) -> Entry:
+    """The entry at (2n-1-j, 2n-1-i) of the element of sp(2n) with 1 at
+    (i, j): -eps(i)*eps(j), with eps = +1 on the first n indices, else -1."""
+    return 2 * n - 1 - j, 2 * n - 1 - i, -1 if (i < n) == (j < n) else 1
+
+
+def _check_sp_membership(entries: Sequence[Entry], n: int) -> None:
+    """Refuse a matrix x outside sp(2n): J x must be symmetric, where J is
+    antidiagonal with J[a][2n-1-a] = +1 for a < n and -1 after."""
+    last = 2 * n - 1
+    for i, j, v in entries:
+        mirrored = 0
+        for k, l, w in entries:
+            if k + j == last and l + i == last:
+                mirrored = w
+        if (-1 if i < n else 1) * v != (1 if j < n else -1) * mirrored:
             raise AssertionError(f"entry {(i, j)} violates the sp condition")
-
-
-def _sparse_bracket(x: Sequence[Entry], y: Sequence[Entry]) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for i, j, v in x:
-        for k, l, w in y:
-            if j == k:
-                out[(i, l)] = out.get((i, l), 0) + v * w
-            if l == i:
-                out[(k, j)] = out.get((k, j), 0) - w * v
-    return {pos: v for pos, v in out.items() if v}
-
-
-def _expand(
-    bracket: dict[tuple[int, int], int],
-    rep_of: dict[tuple[int, int], int],
-    elements: Sequence[tuple[Entry, ...]],
-) -> tuple[tuple[int, int], ...]:
-    coeffs: list[tuple[int, int]] = []
-    rebuilt: dict[tuple[int, int], int] = {}
-    for pos, value in bracket.items():
-        k = rep_of.get(pos)
-        if k is None:
-            continue  # non-representative entry; covered by its partner
-        coeffs.append((k, value))
-        for i, j, v in elements[k]:
-            rebuilt[(i, j)] = rebuilt.get((i, j), 0) + value * v
-    if {p: v for p, v in rebuilt.items() if v} != bracket:
-        raise AssertionError("bracket left the span: basis is not closed")
-    return tuple(coeffs)
 
 
 def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:

@@ -1,13 +1,16 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandre import index_c, index_oracle, make_seaweed_c, oracle
-from meandre.enumeration import seaweed_pairs
-from meandre.composition import symmetrize
+from meandre.composition import SeaweedC, symmetrize
+from meandre.enumeration import rank_sides, seaweed_pairs
 from meandre.oracle import build_seaweed_matrices, pfaffian_rank
 
 
@@ -244,17 +247,18 @@ def test_dimensions():
 
 
 def test_elements_satisfy_sp_condition():
-    q = make_seaweed_c(2, "1", "2")
-    size = 2 * q.rank
-    for entries in build_seaweed_matrices(q).elements:
-        mat = {(i, j): v for i, j, v in entries}
-        assert all(v for v in mat.values())
-        for i in range(size):
-            for j in range(size):
-                eps_i = 1 if i < size // 2 else -1
-                eps_j = 1 if j < size // 2 else -1
-                partner = mat.get((size - 1 - j, size - 1 - i), 0)
-                assert mat.get((i, j), 0) == -eps_i * eps_j * partner
+    for n in range(0, 5):
+        size = 2 * n
+        for q in seaweed_pairs(n):
+            for entries in build_seaweed_matrices(q).elements:
+                mat = {(i, j): v for i, j, v in entries}
+                assert all(v for v in mat.values())
+                for i in range(size):
+                    for j in range(size):
+                        eps_i = 1 if i < n else -1
+                        eps_j = 1 if j < n else -1
+                        partner = mat.get((size - 1 - j, size - 1 - i), 0)
+                        assert mat.get((i, j), 0) == -eps_i * eps_j * partner, q
 
 
 def test_elements_are_independent():
@@ -314,10 +318,40 @@ def test_oracle_matches_graph_on_rank_3_slice():
         assert index_oracle(q, 5) == index_c(q)
 
 
+def _sparse_bracket(x, y):
+    """[x, y] of two matrices given by their (row, col, value) entries, as
+    a dict of its nonzero entries."""
+    out = {}
+    for i, j, v in x:
+        for k, l, w in y:
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0) + v * w
+            if l == i:
+                out[(k, j)] = out.get((k, j), 0) - w * v
+    return {pos: v for pos, v in out.items() if v}
+
+
+def _expand(bracket, rep_of, elements):
+    """The coefficients of `bracket` read at the representative positions,
+    after checking that those coefficients rebuild all of it."""
+    coeffs = []
+    rebuilt = {}
+    for pos, value in bracket.items():
+        k = rep_of.get(pos)
+        if k is None:
+            continue  # non-representative entry; covered by its partner
+        coeffs.append((k, value))
+        for i, j, v in elements[k]:
+            rebuilt[(i, j)] = rebuilt.get((i, j), 0) + value * v
+    assert {p: v for p, v in rebuilt.items() if v} == bracket, "bracket left the span"
+    return tuple(coeffs)
+
+
 def direct_seaweed_matrices(q):
-    """(elements, structure) as built before the per-rank table: from the
-    seaweed's own admissible positions, expanding only the brackets of
-    pairs whose matrix product can be nonzero."""
+    """(elements, structure) from the seaweed's own admissible positions,
+    with whole brackets of the pairs whose matrix product can be nonzero,
+    each checked to lie in the span: a reference with no code of the
+    oracle's own."""
     n = q.rank
     size = 2 * n
     doubled = symmetrize(q)
@@ -345,43 +379,76 @@ def direct_seaweed_matrices(q):
         for v in sorted(set().union(*(in_row[j] for _, j, _ in x))):
             if v <= u:
                 continue
-            bracket = oracle._sparse_bracket(x, elements[v])
+            bracket = _sparse_bracket(x, elements[v])
             if not bracket:
                 continue
-            coeffs = oracle._expand(bracket, rep_of, elements)
+            coeffs = _expand(bracket, rep_of, elements)
             if coeffs:
                 structure[(u, v)] = coeffs
     return tuple(elements), structure
 
 
-def test_restricted_table_equals_the_direct_build_to_rank_5():
-    # once on whatever tables are cached, once on tables built afresh
-    for fresh in (False, True):
-        if fresh:
-            oracle._sp_table.cache_clear()
-        for n in range(0, 6):
-            for q in seaweed_pairs(n):
-                basis = build_seaweed_matrices(q)
-                elements, structure = direct_seaweed_matrices(q)
-                assert basis.elements == elements, q
-                assert list(basis.structure.items()) == list(structure.items()), q
-        for n in range(0, 6):  # each row entry carries the bitmask of its w
-            for row in oracle._sp_table(n)[1]:
-                for _, coeffs, wmask in row:
-                    assert wmask == sum(1 << w for w in {w for w, _ in coeffs})
-    assert oracle._sp_table.cache_info().currsize == 6  # one table per rank
+def test_local_build_equals_the_direct_build_to_rank_5():
+    for n in range(0, 6):
+        for q in seaweed_pairs(n):
+            basis = build_seaweed_matrices(q)
+            elements, structure = direct_seaweed_matrices(q)
+            assert basis.elements == elements, q
+            assert list(basis.structure) == list(structure), q
+            assert {k: dict(c) for k, c in basis.structure.items()} == {
+                k: dict(c) for k, c in structure.items()
+            }, q
 
 
 def test_a_bracket_leaving_the_span_is_refused(monkeypatch):
-    # (∅ | 1) at rank 1 keeps two of sp(2)'s three elements; a table row that
-    # puts the third into the bracket of the kept two must raise
-    q = make_seaweed_c(1, "", "1")
-    elements, rows = oracle._sp_table(1)
-    kept = [k for k, x in enumerate(elements) if x in build_seaweed_matrices(q).elements]
-    (outside,) = set(range(len(elements))) - set(kept)
-    u, v = kept
-    bad = list(rows)
-    bad[u] = ((v, ((outside, 1),), 1 << outside),)
-    monkeypatch.setattr(oracle, "_sp_table", lambda n: (elements, tuple(bad)))
-    with pytest.raises(AssertionError, match="bracket left the span"):
+    # a top block shape (3, 1) is no palindrome: its admissible set is not
+    # closed under the anti-transpose, so it spans no subalgebra of sp(4)
+    q = make_seaweed_c(2, "2", "")
+    monkeypatch.setattr(oracle, "doubled", lambda side, defect: (3, 1) if side.parts else (4,))
+    with pytest.raises(AssertionError):
         build_seaweed_matrices(q)
+
+
+NOT_CLOSED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from meandre import make_seaweed_c, oracle
+oracle.doubled = lambda side, defect: (3, 1) if side.parts else (4,)
+try:
+    oracle.build_seaweed_matrices(make_seaweed_c(2, "2", ""))
+except AssertionError as e:
+    print(e)
+"""
+
+
+def test_the_closure_check_holds_without_asserts():
+    # python -O strips the partner assert; the bracket check still refuses
+    root = str(Path(oracle.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", NOT_CLOSED, root],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "bracket left the span: basis is not closed\n"
+
+
+def test_a_wrong_partner_sign_is_refused(monkeypatch):
+    real = oracle._partner
+
+    def flipped(i, j, n):
+        pi, pj, sign = real(i, j, n)
+        return pi, pj, -sign
+
+    monkeypatch.setattr(oracle, "_partner", flipped)
+    with pytest.raises(AssertionError, match="violates the sp condition"):
+        build_seaweed_matrices(make_seaweed_c(2, "1", "2"))
+
+
+def test_the_oracle_reaches_past_small_ranks_with_no_memo():
+    borel = make_seaweed_c(24, ",".join(["1"] * 24), "")
+    assert index_oracle(borel) == 0
+    sides = rank_sides(10)
+    for seed in range(5):
+        rng = random.Random(seed)
+        q = SeaweedC(10, rng.choice(sides), rng.choice(sides))
+        assert index_oracle(q, seed=seed) == index_c(q), q
+    assert not [name for name, f in vars(oracle).items() if hasattr(f, "cache_info")]
