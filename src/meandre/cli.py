@@ -49,9 +49,17 @@ import argparse
 import json
 import sys
 
-from .composition import SeaweedA, SeaweedC, Series, make_seaweed_a, make_seaweed_c, parse_int
+from .composition import (
+    Composition,
+    SeaweedA,
+    SeaweedC,
+    Series,
+    make_seaweed_a,
+    make_seaweed_c,
+    parse_int,
+)
 from .enumeration import frobenius_census
-from .index import component_counts, reduction_steps, terminal_index_c, walk
+from .index import component_counts, terminal_index_c, walk
 from .io_render import (
     census_table,
     check_ascii_width,
@@ -65,7 +73,7 @@ from .io_render import (
 CENSUS_MAX_N = 20  # the census DP: rows 1-20 in about 1.8 s
 BRUTE_FORCE_MAX_N = 8  # verify's 4^n scans: about 3 s and 0.4 s at rank 8, 4x more per rank
 STEPWISE_MAX_N = 100_000  # reduce's steps: (n-1 | n) takes n-1, 2.4 s and 9.4 MB at 10^5
-REDUCE_MAX_PARTS = 10_000_000  # reduce's parts: (1^2828 | 2^2828) prints 10.0 M in 4.6 s
+REDUCE_MAX_PARTS = 10_000_000  # reduce's parts: (1^2828 | 2^2828) prints 10.0 M in about 2 s
 ORACLE_MAX_N = 6  # the oracle's exhaustive pass: about 2.3 s at rank 6, 11 s at 7 (2-core x86)
 
 
@@ -168,44 +176,48 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         printed += len(a) + len(b) + 1
         if printed > REDUCE_MAX_PARTS:
             raise ValueError(f"the chain would print over {REDUCE_MAX_PARTS:,} parts")
-    # Each step is printed (or turned into its JSON row) as it is taken and
-    # then let go, so only the latest descriptors stay alive.
-    terminal, total, rows = q, 0, []
+    # A second walk prints each step (or turns it into its JSON row) as it is
+    # taken: only the latest descriptor and the text of the one before stay alive.
+    terminal, text, total, rows = q, str(q), 0, []
     if not args.json:
         print(_banner(q))
-    for pos, step in enumerate(reduction_steps(q, closed_form=args.closed_form), start=1):
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    steps = walk(q.rank, *stacks, closed_form=args.closed_form)
+    for pos, (rule, p, swapped, delta, rank, (a, b)) in enumerate(steps, start=1):
+        terminal = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
+        before, text = text, str(terminal)
         if args.json:
             rows.append(
                 {
-                    "rule": step.rule.value,
-                    "swapped": step.swapped,
-                    "p": step.witness_p,
-                    "before": str(step.before),
-                    "after": str(step.after),
-                    "delta": step.index_delta,
+                    "rule": rule.value,
+                    "swapped": swapped,
+                    "p": p,
+                    "before": before,
+                    "after": text,
+                    "delta": delta,
                 }
             )
         else:
-            rule = step.rule.value
-            if step.witness_p is not None:
-                rule += f" p={step.witness_p}"
-            if step.swapped:
-                rule += " (swapped)"
-            print(f"  {pos}. {rule:<26} {step.before}  ->  {step.after}  [+{step.index_delta}]")
-        terminal, total = step.after, total + step.index_delta
+            label = rule.value
+            if p is not None:
+                label += f" p={p}"
+            if swapped:
+                label += " (swapped)"
+            print(f"  {pos}. {label:<26} {before}  ->  {text}  [+{delta}]")
+        total += delta
     terminal_index = terminal_index_c(terminal)
     if args.json:
         _print_json(
             {
                 **payload_head(q),
                 "steps": rows,
-                "terminal": str(terminal),
+                "terminal": text,
                 "terminal_index": terminal_index,
                 "index": total + terminal_index,
             }
         )
     else:
-        print(f"terminal: {terminal} parabolic, index {terminal_index}")
+        print(f"terminal: {text} parabolic, index {terminal_index}")
         print(f"index: {total + terminal_index}")
     return 0
 

@@ -10,11 +10,11 @@ The rewriting is one walker, `walk`, on two part stacks (lists, leading
 part last): O(1) per step, about parts x log(part size) steps in all.  It
 serves both flavours, separate arithmetic that must agree: the three-case
 step and the collapsed `closed_form_step` with its witness p, which the
-census DP in `enumeration` calls too.  `reduction_steps` records each step
-as it is taken, so the routes can be replayed, in time and memory linear in
-the walk: the steps share their part storage and build their descriptors
-when read.  `reduction_chain` keeps them all; `meandre reduce` prints each
-and lets it go.
+census DP in `enumeration` calls too.  `reduction_chain` records what each
+step did (rule, index delta, side exchange, witness), enough to replay the
+chain from its start, and builds only its terminal descriptor;
+`meandre reduce` builds each step's descriptor from the walk's stacks as it
+prints it.
 `component_counts` folds the walk into the graph's `ComponentCounts`
 without building the graph.
 """
@@ -52,103 +52,19 @@ def parabolic_index_c(rank: int, side: Composition) -> int:
     return sum(p // 2 for p in side.parts) + (rank - side.total)
 
 
-Cell = tuple  # (part, rest): a side as cons cells, leading part first; None is empty
-
-
-def _cons(stack: list[int], cell: Cell | None = None) -> Cell | None:
-    """`cell` with the parts of `stack` (leading part last) pushed in turn."""
-    for part in stack:
-        cell = (part, cell)
-    return cell
-
-
-def _parts(cell: Cell | None, base: Cell | None = None, rest: tuple[int, ...] = ()) -> tuple:
-    """The parts of `cell`, leading part first; it ends in `base`, whose
-    parts are `rest`."""
-    fresh = []
-    while cell is not base:
-        part, cell = cell
-        fresh.append(part)
-    return (*fresh, *rest)
-
-
-class _State:
-    """One descriptor on a reduction walk: its rank and each side's cons
-    cells, which share every part below the leading ones with the states
-    before it.  The `SeaweedC` is built and validated on first read, once."""
-
-    __slots__ = ("rank", "top", "bottom", "series", "_built")
-
-    def __init__(self, rank: int, top: Cell | None, bottom: Cell | None, series, built=None):
-        self.rank, self.top, self.bottom, self.series = rank, top, bottom, series
-        self._built = built
-
-    def seaweed(self, source: _State | None = None, swapped: bool = False) -> SeaweedC:
-        """The descriptor.  If the walk stepped here from `source` (exchanging
-        its sides if `swapped`) and that one is built, only the fresh leading
-        parts are read off the cells and the rest is sliced from its parts."""
-        if self._built is None:
-            top = bottom = (None, ())
-            if source is not None and (old := source._built) is not None:
-                top = source.top[1], old.top.parts[1:]
-                bottom = source.bottom[1], old.bottom.parts[1:]
-                if swapped:
-                    top, bottom = bottom, top
-            top, bottom = _parts(self.top, *top), _parts(self.bottom, *bottom)
-            self._built = SeaweedC(self.rank, Composition(top), Composition(bottom), self.series)
-        return self._built
-
-
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One rewriting step; index(before) = index_delta + index(after).
 
     `swapped` records that the sides of `before` were exchanged prior to
-    applying the rule (allowed because (a|b) and (b|a) are isomorphic), so
-    chains can be replayed literally.  `witness_p` is set on closed-form
-    steps only.  `before` and `after` are built when read, and a step's
-    `after` is the next step's `before`, the same object; equality, hash
-    and repr go by these built values, never through the shared cells.
+    applying the rule (allowed because (a|b) and (b|a) are isomorphic), and
+    `witness_p` is set on closed-form steps only.  The records carry no
+    descriptors: `walk` from the chain's start takes these steps again.
     """
 
-    __slots__ = ("rule", "index_delta", "swapped", "witness_p", "_before", "_after")
-
-    def __init__(
-        self,
-        rule: Rule,
-        index_delta: int,
-        swapped: bool,
-        witness_p: int | None,
-        before: _State,
-        after: _State,
-    ):
-        self.rule, self.index_delta, self.swapped = rule, index_delta, swapped
-        self.witness_p, self._before, self._after = witness_p, before, after
-
-    @property
-    def before(self) -> SeaweedC:
-        return self._before.seaweed()
-
-    @property
-    def after(self) -> SeaweedC:
-        return self._after.seaweed(self._before, self.swapped)
-
-    def _fields(self) -> tuple:
-        return self.rule, self.before, self.after, self.index_delta, self.swapped, self.witness_p
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReductionStep):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        rule, before, after, delta, swapped, p = self._fields()
-        return (
-            f"ReductionStep(rule={rule!r}, before={before!r}, after={after!r}, "
-            f"index_delta={delta!r}, swapped={swapped!r}, witness_p={p!r})"
-        )
+    rule: Rule
+    index_delta: int
+    swapped: bool
+    witness_p: int | None
 
 
 class ReductionChain(NamedTuple):
@@ -222,30 +138,6 @@ def walk(rank: int, a: list[int], b: list[int], *, closed_form: bool) -> Iterato
         yield rule, p, swapped, delta, rank, (a, b)
 
 
-def reduction_steps(q: SeaweedC, *, closed_form: bool = False) -> Iterator[ReductionStep]:
-    """The steps of `reduction_chain`, each yielded as it is taken.
-
-    Linear in the walk: a step rewrites only the leading part of each side
-    and pushes at most one more, so each records O(1) new cons cells and
-    shares the rest with the step before.  Descriptors are built when read;
-    a caller that lets each step go keeps only the latest one alive.
-    """
-    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
-    top, bottom = _cons(stacks[0]), _cons(stacks[1])
-    depths = len(stacks[0]), len(stacks[1])  # the walk's stack sizes before the step
-    series = q.series
-    state = _State(q.rank, top, bottom, series, q)
-    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
-        if swapped:
-            top, bottom, depths = bottom, top, depths[::-1]
-        # Only each old leading part changed: pop it and push the stack above it.
-        top, bottom = _cons(a[depths[0] - 1:], top[1]), _cons(b[depths[1] - 1:], bottom[1])
-        depths = len(a), len(b)
-        after = _State(rank, top, bottom, series)
-        yield ReductionStep(rule, delta, swapped, p, state, after)
-        state = after
-
-
 def terminal_index_c(terminal: SeaweedC) -> int:
     """Index of a reduction's terminal, a parabolic with one side empty."""
     side = terminal.top if terminal.top.parts else terminal.bottom
@@ -254,11 +146,15 @@ def terminal_index_c(terminal: SeaweedC) -> int:
 
 def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
     """Walk until one side is empty, then close with the parabolic formula."""
-    steps = tuple(reduction_steps(q, closed_form=closed_form))
-    terminal = steps[-1].after if steps else q
+    steps, terminal = [], q
+    a, b = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, a, b, closed_form=closed_form):
+        steps.append(ReductionStep(rule, delta, swapped, p))
+    if steps:  # a and b are now the last step's top and bottom stacks
+        terminal = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
     terminal_index = terminal_index_c(terminal)
     total = sum([step.index_delta for step in steps]) + terminal_index
-    return ReductionChain(steps, terminal, terminal_index, total)
+    return ReductionChain(tuple(steps), terminal, terminal_index, total)
 
 
 def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:

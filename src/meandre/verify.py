@@ -34,7 +34,7 @@ from .enumeration import (
     rank_sides,
     to_type_a,
 )
-from .index import index_a_gl, index_c, reduction_chain
+from .index import component_counts, index_a_gl, index_c, reduction_chain
 from .meander import analyze, build_graph_c, pair_counts
 from .oracle import index_oracle
 
@@ -58,7 +58,8 @@ def _fail(name: str, detail: str, q) -> CheckResult:
 
 
 def check_index_methods(max_n: int) -> CheckResult:
-    """Graph count == case-by-case reduction == closed-form reduction."""
+    """Graph count == case-by-case reduction == closed-form reduction, and
+    the graph's counts == `component_counts`, the route `meandre index` prints."""
     name = "index-methods-agree"
     checked = 0
     for n in range(1, max_n + 1):
@@ -74,6 +75,8 @@ def check_index_methods(max_n: int) -> CheckResult:
                     f"graph {graph}, stepwise {stepwise}, closed form {closed}",
                     q,
                 )
+            if (walked := component_counts(q)) != counts:
+                return _fail(name, f"graph {counts}, walk {walked}", q)
             checked += 1
     return CheckResult(name, True, f"{checked} seaweeds up to rank {max_n}")
 
@@ -116,6 +119,7 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
     name = "frobenius-one-full-side"
     for n in range(1, census_max_n + 1):
         by_k: dict[int, set[SeaweedC]] = {}
+        ordered = [0] * n  # index-0 ordered pairs by k, for `census --ordered`
         sides = rank_sides(n)
         for top, bottom, counts in pair_counts(sides, sides, n):
             if counts.index != 0:
@@ -126,12 +130,16 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
                 return _fail(name, f"index 0 with {full_sides} full sides", q)
             k = n - min(top.total, bottom.total)
             by_k.setdefault(k, set()).add(canonical_pair(q))
+            ordered[k - 1] += 1
         for k, count in enumerate(frobenius_census(n).by_k, 1):
             scanned, listed = by_k.get(k, set()), frobenius_seaweeds(n, k)
             if not (len(scanned) == len(listed) == count and scanned == set(listed)):
                 odd = min(map(str, scanned.symmetric_difference(listed)), default=None)
                 sizes = f"full scan {len(scanned)}, listing {len(listed)}, census {count}"
                 return CheckResult(name, False, f"at n={n}, k={k}: {sizes}", odd)
+        if (row := frobenius_census(n, ordered=True).by_k) != tuple(ordered):
+            detail = f"at n={n}: ordered scan {ordered}, census --ordered {list(row)}"
+            return CheckResult(name, False, detail)
     return CheckResult(
         name,
         True,
@@ -170,7 +178,10 @@ def _check_embedding(census_max_n: int) -> CheckResult:
         for k in range(1, n + 1):
             targets = set(frobenius_seaweeds(n + 1, k + 1))
             for q in frobenius_seaweeds(n, k):
-                image = canonical_pair(embed_up(q))
+                up = embed_up(q)
+                if embed_up(q.swap()) != up.swap():
+                    return _fail(name, "image depends on the side order", q)
+                image = canonical_pair(up)
                 if image not in targets:
                     return _fail(name, f"image not among rank {n + 1} classes", q)
                 images.add(image)

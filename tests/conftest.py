@@ -13,3 +13,16 @@ def closed_form_fault(monkeypatch):
         return chain._replace(total_index=chain.total_index + 1) if closed_form else chain
 
     monkeypatch.setattr(meandre.verify, "reduction_chain", faulty)
+
+
+@pytest.fixture
+def component_counts_fault(monkeypatch):
+    """Make verify's `component_counts`, the route `meandre index` prints,
+    overstate every cycle count by 1."""
+    real = meandre.verify.component_counts
+
+    def faulty(q):
+        counts = real(q)
+        return counts._replace(cycles=counts.cycles + 1)
+
+    monkeypatch.setattr(meandre.verify, "component_counts", faulty)

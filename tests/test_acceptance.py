@@ -29,6 +29,7 @@ from meandre.enumeration import (
     frobenius_census,
     seaweed_pairs,
 )
+from meandre.index import walk
 from meandre.meander import analyze, build_graph_c
 from meandre.verify import check_structure
 
@@ -83,11 +84,15 @@ def test_criterion_3_worked_examples(capsys):
     assert index_c(parabolic) == 4
     assert report.counts == (4, 1, 0, True)  # 4 cycles, one mirror-stable segment
 
-    chain = reduction_chain(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
+    q = make_seaweed_c(10, "3,3", "4,5")
+    chain = reduction_chain(q, closed_form=True)
     assert chain.total_index == 1
+    assert len(chain.steps) == 4 and chain.terminal == make_seaweed_c(4, "", "1,1,1")
+    # The chain records each step; its descriptors are the walk's stacks.
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
     unordered = [
-        (s.after.rank, frozenset({s.after.top.parts, s.after.bottom.parts}))
-        for s in chain.steps
+        (rank, frozenset({tuple(a[::-1]), tuple(b[::-1])}))
+        for *_, rank, (a, b) in walk(q.rank, *stacks, closed_form=True)
     ]
     assert unordered == [
         (7, frozenset({(3,), (1, 5)})),

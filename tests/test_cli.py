@@ -17,8 +17,9 @@ import meandre.cli
 import meandre.index
 import meandre.io_render
 import meandre.meander
-from meandre import index_c, make_seaweed_c, reduction_chain
+from meandre import index_c, make_seaweed_c
 from meandre.cli import main
+from meandre.index import walk
 
 CLI_GOLDEN_DIR = Path(__file__).parent / "goldens" / "cli"
 
@@ -297,11 +298,13 @@ def test_reduce_parabolic_direct(capsys):
     assert "index: 4" in out
 
 
-def test_stepwise_reduce_above_its_rank_cap_exits_2_before_reducing(capsys, monkeypatch):
-    def no_chain(q, *, closed_form=False):
-        raise AssertionError("the chain was built")
+def no_step_printed(*args):
+    """Stands in for the first descriptor `reduce` builds to print a step."""
+    raise AssertionError("reduce started printing the chain")
 
-    monkeypatch.setattr("meandre.cli.reduction_steps", no_chain)
+
+def test_stepwise_reduce_above_its_rank_cap_exits_2_before_reducing(capsys, monkeypatch):
+    monkeypatch.setattr("meandre.cli.SeaweedC", no_step_printed)
     code, out, err = run(
         capsys, "reduce", "--series", "C", "--n", "100001", "--top", "100000", "--bottom", "100001"
     )
@@ -321,8 +324,10 @@ def test_reduce_rank_cap_is_for_the_stepwise_flavour_only(capsys):
     "flavour, golden", [((), "reduce_c.txt"), (("--closed-form",), "reduce_c_closed.txt")]
 )
 def test_reduce_limit_boundary(capsys, monkeypatch, flavour, golden):
-    chain = reduction_chain(make_seaweed_c(9, "2,5", "4,1,3"), closed_form=bool(flavour))
-    limit = sum(len(s.after.top.parts) + len(s.after.bottom.parts) + 1 for s in chain.steps)
+    q = make_seaweed_c(9, "2,5", "4,1,3")
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    steps = walk(q.rank, *stacks, closed_form=bool(flavour))
+    limit = sum(len(a) + len(b) + 1 for *_, (a, b) in steps)  # each step's `after` and its line
     monkeypatch.setattr(meandre.cli, "REDUCE_MAX_PARTS", limit)
     code, out, _ = run(capsys, "reduce", *C_9, *flavour)
     assert code == 0
@@ -337,10 +342,7 @@ def test_reduce_limit_boundary(capsys, monkeypatch, flavour, golden):
 def test_reduce_refuses_a_chain_too_long_to_print(capsys, monkeypatch, flavour):
     """(1^50000 | 2^50000): a rank the stepwise cap admits, and a chain of
     about 7.5 * 10^9 parts in either flavour."""
-    def no_chain(q, *, closed_form=False):
-        raise AssertionError("the chain was built")
-
-    monkeypatch.setattr("meandre.cli.reduction_steps", no_chain)
+    monkeypatch.setattr("meandre.cli.SeaweedC", no_step_printed)
     m = 50_000
     top, bottom = ",".join(["1"] * m), ",".join(["2"] * m)
     started = time.perf_counter()
@@ -391,12 +393,12 @@ def test_reduce_limit_admits_many_parts_chains(monkeypatch, flavour):
     (99999 | 100000) takes 99,999 steps."""
 
     class ChainReached(Exception):
-        """reduce let the descriptor through to the chain."""
+        """reduce let the descriptor through to printing its chain."""
 
-    def reach_chain(q, *, closed_form=False):
+    def reach_chain(*args):
         raise ChainReached
 
-    monkeypatch.setattr("meandre.cli.reduction_steps", reach_chain)
+    monkeypatch.setattr("meandre.cli.SeaweedC", reach_chain)
     rng = random.Random(0)
     rank = 15_450
     argvs = [("--n", "100000", "--top", "99999", "--bottom", "100000")]

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,15 @@ from hypothesis import strategies as st
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
 from meandre.composition import Composition, SeaweedA, SeaweedC, Series, parse_composition
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
-from meandre.index import Rule, closed_form_step, component_counts, parabolic_index_c, walk
+from meandre.cli import main
+from meandre.index import (
+    ReductionStep,
+    Rule,
+    closed_form_step,
+    component_counts,
+    parabolic_index_c,
+    walk,
+)
 from meandre.meander import analyze, build_graph_a, build_graph_c, graph_counts
 
 
@@ -103,8 +113,32 @@ def test_loose_segments_always_even():
 # --- reduction steps --------------------------------------------------------
 
 
+class Snapshot(NamedTuple):
+    """A step with both of its descriptors, as `meandre reduce` prints it."""
+
+    rule: Rule
+    before: SeaweedC
+    after: SeaweedC
+    index_delta: int
+    swapped: bool
+    witness_p: int | None
+
+
+def eager_chain(q, closed_form):
+    """The reference for every per-step descriptor: both descriptors of
+    every step built and validated during the walk.  Returns the snapshots
+    and the terminal."""
+    steps, cur = [], q
+    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
+    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
+        after = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
+        steps.append(Snapshot(rule, cur, after, delta, swapped, p))
+        cur = after
+    return steps, cur
+
+
 def first_step(q, closed_form=False):
-    return reduction_chain(q, closed_form=closed_form).steps[0]
+    return eager_chain(q, closed_form)[0][0]
 
 
 def test_reduce_step_case_small():
@@ -177,7 +211,7 @@ def test_closed_form_step_is_large_steps_then_one_small_step():
                 continue
             closed = first_step(q, closed_form=True)
             rules = [Rule.CASE_LARGE] * closed.witness_p + [Rule.CASE_SMALL]
-            steps = reduction_chain(q).steps[: len(rules)]
+            steps = eager_chain(q, False)[0][: len(rules)]
             assert [(step.rule, step.swapped) for step in steps] == [(r, False) for r in rules], q
             assert steps[-1].after == closed.after, q
             checked += 1
@@ -235,10 +269,11 @@ def test_strip_central_circles_additivity(q):
 
 
 def test_chain_reproduces_worked_reduction():
-    chain = reduction_chain(make_seaweed_c(10, "3,3", "4,5"), closed_form=True)
+    q = make_seaweed_c(10, "3,3", "4,5")
+    chain = reduction_chain(q, closed_form=True)
+    steps, _ = eager_chain(q, True)
     intermediate = [
-        (s.after.rank, frozenset({s.after.top.parts, s.after.bottom.parts}))
-        for s in chain.steps
+        (s.after.rank, frozenset({s.after.top.parts, s.after.bottom.parts})) for s in steps
     ]
     assert intermediate == [
         (7, frozenset({(3,), (1, 5)})),
@@ -246,6 +281,7 @@ def test_chain_reproduces_worked_reduction():
         (5, frozenset({(1,), (3, 1)})),
         (4, frozenset({(), (1, 1, 1)})),
     ]
+    assert len(chain.steps) == 4
     assert chain.terminal == make_seaweed_c(4, "", "1,1,1")
     assert chain.total_index == 1
     assert chain.steps[0].witness_p == 2
@@ -267,19 +303,22 @@ def test_chain_cartan_of_sp2():
 
 
 def test_chain_records_swaps_for_replay():
-    chain = reduction_chain(make_seaweed_c(7, "3", "1,5"))
+    q = make_seaweed_c(7, "3", "1,5")
+    chain = reduction_chain(q)
     assert chain.steps[0].swapped
-    assert chain.steps[0].before == make_seaweed_c(7, "3", "1,5")
+    replayed = eager_chain(q, False)[0][0]
+    assert replayed.before == q and replayed.swapped
+    assert replayed.after == make_seaweed_c(6, "5", "1,1")  # the sides stay exchanged
 
 
 @given(random_seaweeds(6))
 @settings(max_examples=80)
 def test_every_step_preserves_index_against_graph(q):
     for closed in (False, True):
-        chain = reduction_chain(q, closed_form=closed)
-        for step in chain.steps:
+        steps, _ = eager_chain(q, closed)
+        for step in steps:
             assert index_c(step.before) == step.index_delta + index_c(step.after)
-        assert chain.total_index == index_c(q)
+        assert reduction_chain(q, closed_form=closed).total_index == index_c(q)
 
 
 def test_three_routes_agree_exhaustively_to_rank_4():
@@ -288,18 +327,6 @@ def test_three_routes_agree_exhaustively_to_rank_4():
             graph = index_c(q)
             assert reduction_chain(q).total_index == graph
             assert reduction_chain(q, closed_form=True).total_index == graph
-
-
-def eager_chain(q, closed_form):
-    """The chain as it was recorded before steps shared their part storage:
-    both descriptors of every step built and validated during the walk."""
-    steps, cur = [], q
-    stacks = list(q.top.parts[::-1]), list(q.bottom.parts[::-1])
-    for rule, p, swapped, delta, rank, (a, b) in walk(q.rank, *stacks, closed_form=closed_form):
-        after = SeaweedC(rank, Composition(a[::-1]), Composition(b[::-1]), q.series)
-        steps.append((rule, cur, after, delta, swapped, p))
-        cur = after
-    return steps, cur
 
 
 def assert_valid_descriptor(d):
@@ -315,19 +342,31 @@ def test_chain_matches_the_eager_snapshot_loop_on_every_c_b_descriptor_to_rank_5
                 for closed in (False, True):
                     chain = reduction_chain(q, closed_form=closed)
                     steps, terminal = eager_chain(q, closed)
-                    if chain.steps:
-                        assert chain.steps[0].before == q
-                        assert chain.steps[-1].after == chain.terminal
-                    for step, following in zip(chain.steps, chain.steps[1:]):
-                        assert step.after == following.before
-                    for step, eager in zip(chain.steps, steps, strict=True):
-                        fields = (step.rule, step.before, step.after)
-                        fields += (step.index_delta, step.swapped, step.witness_p)
-                        assert fields == eager, q
-                        assert_valid_descriptor(step.before)
-                        assert_valid_descriptor(step.after)
+                    records = [(s.rule, s.index_delta, s.swapped, s.witness_p) for s in steps]
+                    assert chain.steps == tuple(records), q
+                    assert all(type(step) is ReductionStep for step in chain.steps)
                     assert chain.terminal == terminal
                     assert_valid_descriptor(chain.terminal)
+
+
+@pytest.mark.parametrize("series", Series)
+def test_json_reduce_prints_the_eager_descriptors_to_rank_4(capsys, series):
+    """`reduce --json` builds its descriptors from its own walk: each step's
+    before/after strings, delta and the terminal are the reference's."""
+    for n in range(0, 5):
+        for q in seaweed_pairs(n):
+            q = SeaweedC(n, q.top, q.bottom, series)
+            descriptor = ["--series", series.value, "--n", str(n)]
+            descriptor += ["--top", q.top.to_text(), "--bottom", q.bottom.to_text()]
+            for closed in (False, True):
+                flavour = ["--closed-form"] if closed else []
+                assert main(["reduce", *descriptor, *flavour, "--json"]) == 0
+                printed = json.loads(capsys.readouterr().out)
+                steps, terminal = eager_chain(q, closed)
+                expected = [(str(s.before), str(s.after), s.index_delta) for s in steps]
+                got = [(row["before"], row["after"], row["delta"]) for row in printed["steps"]]
+                assert got == expected, q
+                assert printed["terminal"] == str(terminal), q
 
 
 def ones_and_twos(m):
@@ -336,8 +375,8 @@ def ones_and_twos(m):
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_chain_memory_is_linear(closed):
-    """(1^3000 | 2^3000): 3,000 steps, each sharing its parts with the one
-    before; snapshots of both descriptors per step peaked at 92 MB."""
+    """(1^3000 | 2^3000): 3,000 steps, each recorded without its
+    descriptors; snapshots of both descriptors per step peaked at 92 MB."""
     q = ones_and_twos(3000)
     tracemalloc.start()
     try:
@@ -349,19 +388,14 @@ def test_chain_memory_is_linear(closed):
     assert chain.total_index == component_counts(q).index == 3000
 
 
-def test_step_eq_and_repr_do_not_recurse_on_a_long_chain():
-    """The last step of a 50,000-step chain sits on cells nested 50,000 deep."""
-    q = ones_and_twos(50_000)
-    chain, again = reduction_chain(q), reduction_chain(q)
+@pytest.mark.parametrize("closed", [False, True])
+def test_long_chain_length_total_and_terminal(closed):
+    """(1^50000 | 2^50000): a case-small step then a split-equal one per two
+    parts, ending at the parabolic (∅ | 2^25000)."""
+    chain = reduction_chain(ones_and_twos(50_000), closed_form=closed)
     assert len(chain.steps) == 50_000 and chain.total_index == 50_000
-    last = chain.steps[-1]
-    assert last == again.steps[-1] and hash(last) == hash(again.steps[-1])
-    assert last != chain.steps[-2]
-    assert repr(last) == (
-        "ReductionStep(rule=<Rule.SPLIT_EQUAL: 'split-equal'>, "
-        f"before={last.before!r}, after={last.after!r}, "
-        "index_delta=1, swapped=False, witness_p=None)"
-    )
+    assert chain.terminal == make_seaweed_c(50_000, "", ",".join(["2"] * 25_000))
+    assert chain.terminal_index == 25_000
 
 
 # --- component counts from the walk ------------------------------------------

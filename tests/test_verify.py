@@ -4,8 +4,10 @@ import pytest
 
 import meandre.verify
 from meandre import index_c, meander
+from meandre.composition import Composition, SeaweedC
 from meandre.enumeration import frobenius_seaweeds, seaweed_pairs
 from meandre.verify import (
+    _check_embedding,
     _check_one_full_side,
     check_index_methods,
     check_kirillov_oracle,
@@ -73,6 +75,16 @@ def test_fault_injection_is_caught_and_named(closed_form_fault):
     assert [r.name for r in results if not r.passed] == ["index-methods-agree"]
 
 
+def test_a_wrong_index_route_is_caught_and_named(component_counts_fault):
+    result = check_index_methods(2)
+    assert not result.passed
+    assert result.counterexample == "n=1 (∅ | ∅)"
+    assert result.detail == (
+        "graph ComponentCounts(cycles=1, stable=0, loose=0, symmetric=True), "
+        "walk ComponentCounts(cycles=2, stable=0, loose=0, symmetric=True)"
+    )
+
+
 def test_run_all_shape():
     results = run_all(max_n=3, oracle_max_n=2, census_max_n=4, seed=0)
     assert len(results) == 11
@@ -119,3 +131,34 @@ def test_a_class_missing_from_the_listing_is_named(monkeypatch):
     assert not result.passed
     assert result.detail == "at n=3, k=2: full scan 2, listing 1, census 2"
     assert result.counterexample == str(dropped)
+
+
+def test_a_wrong_ordered_census_row_is_caught(monkeypatch):
+    real = meandre.verify.frobenius_census
+
+    def census(n, *, ordered=False):
+        row = real(n, ordered=ordered)
+        if ordered and n == 3:  # one class counted once instead of twice
+            return row._replace(by_k=(row.by_k[0] - 1, *row.by_k[1:]), total=row.total - 1)
+        return row
+
+    monkeypatch.setattr(meandre.verify, "frobenius_census", census)
+    result = _check_one_full_side(4)
+    assert not result.passed
+    assert result.detail == "at n=3: ordered scan [4, 4, 2], census --ordered [3, 4, 2]"
+
+
+def test_an_embedding_that_breaks_on_a_full_bottom_side_is_caught(monkeypatch):
+    real = meandre.verify.embed_up
+
+    def embed(q):
+        if q.top.total == q.rank:
+            return real(q)
+        # the full bottom side grows at its front instead of its end
+        return SeaweedC(q.rank + 1, q.top, Composition((1, *q.bottom.parts)), q.series)
+
+    monkeypatch.setattr(meandre.verify, "embed_up", embed)
+    result = _check_embedding(3)
+    assert not result.passed
+    assert result.detail == "image depends on the side order"
+    assert result.counterexample is not None
