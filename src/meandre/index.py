@@ -22,7 +22,7 @@ without building the graph.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .composition import Composition, SeaweedA, SeaweedC
 from .meander import ComponentCounts, build_graph_a, build_graph_c, graph_counts
@@ -43,13 +43,6 @@ def index_a_gl(q: SeaweedA) -> int:
 def index_c(q: SeaweedC) -> int:
     """Index of an sp(2n) / so(2n+1) seaweed from its symmetric graph."""
     return graph_counts(build_graph_c(q)).index
-
-
-def parabolic_index_c(rank: int, side: Composition) -> int:
-    """Index of the parabolic with gl-blocks `side`: sum(part//2) + defect."""
-    if side.total > rank:
-        raise ValueError(f"composition exceeds rank: {side.total} > {rank}")
-    return sum(p // 2 for p in side.parts) + (rank - side.total)
 
 
 class ReductionStep(NamedTuple):
@@ -138,10 +131,15 @@ def walk(rank: int, a: list[int], b: list[int], *, closed_form: bool) -> Iterato
         yield rule, p, swapped, delta, rank, (a, b)
 
 
+def _parabolic_index(rank: int, parts: Sequence[int]) -> int:
+    """Index of the parabolic (parts | ∅) of rank n: sum(part//2) + defect,
+    which is also the number of cycles of its graph."""
+    return sum(p // 2 for p in parts) + rank - sum(parts)
+
+
 def terminal_index_c(terminal: SeaweedC) -> int:
     """Index of a reduction's terminal, a parabolic with one side empty."""
-    side = terminal.top if terminal.top.parts else terminal.bottom
-    return parabolic_index_c(terminal.rank, side)
+    return _parabolic_index(terminal.rank, terminal.top.parts or terminal.bottom.parts)
 
 
 def reduction_chain(q: SeaweedC, *, closed_form: bool = False) -> ReductionChain:
@@ -173,5 +171,5 @@ def component_counts(q: SeaweedA | SeaweedC) -> ComponentCounts:
         cycles += twice * (delta // 2)
         loose += twice * (delta % 2)
     side = a or b
-    cycles += sum(p // 2 for p in side) + rank - sum(side)
+    cycles += _parabolic_index(rank, side)
     return ComponentCounts(cycles, sum(p % 2 for p in side), loose, symmetric)

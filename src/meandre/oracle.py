@@ -31,14 +31,14 @@ representative outside the seaweed raises.  A series-B descriptor is
 realised in sp(2n) too: the index is the same, and no so(2n+1) matrix is
 built.
 
-Rank over GF(p).  Each Kirillov form is written, as it is assembled, into
-full rows: the dicts of its nonzero entries on both sides of the diagonal,
-reduced mod PRIME = 2^30 - 35.  The rows are ranked in place, with no copy,
-by `_rank_of_rows`, a sparse Pfaffian elimination over GF(PRIME) that
-`pfaffian_rank` (a strict upper triangle, checked and mirrored) also calls:
-the pivot is the first live index i with its neighbour j of least degree,
-so only the rows and columns in supp(i) | supp(j) are updated (in
-`verify --oracle-max-n 5` the forms at ranks 2-6 are 60-24 % nonzero).
+Rank over GF(p).  Each sampled Kirillov form (at most SAMPLES = 5 per
+seaweed) is written, as it is assembled, into full rows: the dicts of its
+nonzero entries on both sides of the diagonal, reduced mod PRIME = 2^30 - 35.
+`_rank_of_rows`, the one rank routine, ranks the rows in place, with no
+copy, by sparse Pfaffian elimination over GF(PRIME): the pivot is the first
+live index i with its neighbour j of least degree, so only the rows and
+columns in supp(i) | supp(j) are updated (in `verify --oracle-max-n 5` the
+forms at ranks 2-6 are 60-24 % nonzero).
 The check keeps its strength: a minor nonzero mod p is a nonzero integer,
 so the rank mod p never exceeds the rank over Q, and dim - best is still a
 proven upper bound on the index.  A wrong graph count could pass only if
@@ -57,6 +57,7 @@ from .composition import SeaweedC, doubled
 Entry = tuple[int, int, int]  # (row, col, value), 0-based
 
 COEFF_RANGE = 1000
+SAMPLES = 5  # random Kirillov forms per seaweed
 PRIME = 2**30 - 35  # the largest prime below 2^30: a residue is one Python digit
 
 
@@ -148,25 +149,6 @@ def _check_sp_membership(entries: Sequence[Entry], n: int) -> None:
             raise AssertionError(f"entry {(i, j)} violates the sp condition")
 
 
-def pfaffian_rank(upper: Sequence[Mapping[int, int]]) -> int:
-    """Rank over GF(PRIME) of an alternating integer matrix A, given by its
-    strict upper triangle: upper[k] maps each l > k to A[k][l] (missing
-    entries are zero).  Entries are reduced mod PRIME; ValueError for an
-    entry on or below the diagonal or at l >= len(upper).  The triangle is
-    mirrored into full rows and ranked by `_rank_of_rows`.
-    """
-    dim = len(upper)
-    rows: list[dict[int, int]] = [{} for _ in range(dim)]
-    for k, row in enumerate(upper):
-        if row and (min(row) <= k or max(row) >= dim):
-            raise ValueError(f"pfaffian_rank needs the keys of upper[{k}] in {k + 1}..{dim - 1}")
-        at_k = rows[k]
-        for l, value in row.items():
-            if value := value % PRIME:
-                at_k[l], rows[l][k] = value, PRIME - value
-    return _rank_of_rows(rows)
-
-
 def _rank_of_rows(rows: list[dict[int, int]]) -> int:
     """Rank over GF(PRIME) of the alternating matrix A given by its full
     rows: rows[k] maps each l with A[k][l] != 0 mod PRIME to that residue,
@@ -236,23 +218,21 @@ def _rank_of_rows(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def index_oracle(q: SeaweedC, samples: int = 5, *, seed: int | None = 0) -> int:
-    """dim q minus the best Kirillov-form rank mod PRIME over `samples`
+def index_oracle(q: SeaweedC, *, seed: int = 0) -> int:
+    """dim q minus the best Kirillov-form rank mod PRIME over SAMPLES
     random functionals: an upper bound on ind q, equal to it once a sample
-    reaches the generic rank.
+    reaches the generic rank.  It stops early at the largest even rank.
 
     Functional coordinates are drawn uniformly from [-1000, 1000] against
-    the dual basis, with a seedable generator so runs are reproducible.
+    the dual basis by `random.Random(seed)`, so runs are reproducible.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     basis = build_seaweed_matrices(q)
     rng = random.Random(seed)
     dim = basis.dimension
     # An alternating form has even rank, so no sample can beat this.
     full = dim - dim % 2
     best = 0
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         coords = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in range(dim)]
         form: list[dict[int, int]] = [{} for _ in range(dim)]  # full rows, both triangles
         for (u, v), terms in basis.structure.items():

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .composition import SeaweedC, canonical_pair, symmetrize
 from .enumeration import (
+    CensusRow,
     compositions_of,
     frobenius_census,
     frobenius_seaweeds,
@@ -36,9 +37,7 @@ from .enumeration import (
 )
 from .index import component_counts, index_a_gl, index_c, reduction_chain
 from .meander import analyze, build_graph_c, pair_counts
-from .oracle import index_oracle
-
-ORACLE_SAMPLES = 5  # random Kirillov forms per seaweed in check_kirillov_oracle
+from .oracle import SAMPLES, index_oracle
 
 
 class CheckResult(NamedTuple):
@@ -85,8 +84,9 @@ def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
     """Kirillov-form rank oracle == graph count.
 
     Exhaustive up to max_n, plus 50 descriptors sampled without replacement
-    at rank max_n + 1 (all of them when that rank has fewer), each given
-    ORACLE_SAMPLES random forms; all randomness derives from `seed`.
+    at rank max_n + 1 (all of them when that rank has fewer).  Each seaweed
+    gets its own oracle seed, and with it `oracle.SAMPLES` random forms; all
+    randomness derives from `seed`.
     """
     name = "kirillov-oracle-agrees"
     rng = random.Random(seed)
@@ -104,14 +104,14 @@ def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
         q = SeaweedC(sample_rank, sides[top], sides[bottom])
         pool.append((q, index_c(q)))
     for q, expected in pool:
-        got = index_oracle(q, ORACLE_SAMPLES, seed=rng.randrange(2**30))
+        got = index_oracle(q, seed=rng.randrange(2**30))
         if got != expected:
             return _fail(name, f"oracle {got}, graph {expected}", q)
     return CheckResult(
         name,
         True,
         f"{len(pool)} seaweeds (exhaustive to rank {max_n}, "
-        f"{sampled} sampled at rank {sample_rank}), {ORACLE_SAMPLES} samples each",
+        f"{sampled} sampled at rank {sample_rank}), {SAMPLES} samples each",
     )
 
 
@@ -271,9 +271,9 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_tail_stabilization(max_n: int) -> CheckResult:
+def _check_tail_stabilization(rows: dict[int, CensusRow]) -> CheckResult:
     name = "tail-stabilization"
-    rows = {n: frobenius_census(n) for n in range(1, max_n + 1)}
+    max_n = len(rows)
     max_m = (max_n - 1) // 2
     for m in range(0, max_m + 1):
         base = 2 * m + 1
@@ -294,9 +294,9 @@ def _check_tail_stabilization(max_n: int) -> CheckResult:
     )
 
 
-def _check_tail_recurrences(max_n: int) -> CheckResult:
+def _check_tail_recurrences(rows: dict[int, CensusRow]) -> CheckResult:
     name = "tail-recurrences"
-    rows = {n: frobenius_census(n) for n in range(1, max_n + 1)}
+    max_n = len(rows)
     max_m = (max_n - 1) // 2
     for m in range(1, max_m + 1):
         odd = rows[2 * m + 1].by_k[m]
@@ -314,10 +314,10 @@ def _check_tail_recurrences(max_n: int) -> CheckResult:
     return CheckResult(name, True, f"odd/even tail recurrences hold for m <= {max_m}")
 
 
-def _check_small_defect_closed_forms(max_n: int) -> CheckResult:
+def _check_small_defect_closed_forms(rows: dict[int, CensusRow]) -> CheckResult:
     name = "small-defect-closed-forms"
-    for n in range(1, max_n + 1):
-        row = frobenius_census(n)
+    max_n = len(rows)
+    for n, row in rows.items():
         if row.by_k[n - 1] != 1:
             return CheckResult(name, False, f"count at k=n is {row.by_k[n - 1]} at n={n}")
         if n >= 2:
@@ -339,8 +339,8 @@ def _check_small_defect_closed_forms(max_n: int) -> CheckResult:
 
 def check_structure(census_max_n: int) -> list[CheckResult]:
     """The census-level checks; per-element ones range to census_max_n, the
-    row-level tail identities to max(census_max_n, 9)."""
-    rows_max_n = max(census_max_n, 9)
+    row-level tail identities share the census rows 1..max(census_max_n, 9)."""
+    rows = {n: frobenius_census(n) for n in range(1, max(census_max_n, 9) + 1)}
     return [
         _check_one_full_side(census_max_n),
         _check_component_structure(census_max_n),
@@ -348,9 +348,9 @@ def check_structure(census_max_n: int) -> list[CheckResult]:
         _check_single_arc_gl_index(census_max_n),
         _check_single_arc_growth(census_max_n),
         _check_type_a_transfer(census_max_n),
-        _check_tail_stabilization(rows_max_n),
-        _check_tail_recurrences(rows_max_n),
-        _check_small_defect_closed_forms(rows_max_n),
+        _check_tail_stabilization(rows),
+        _check_tail_recurrences(rows),
+        _check_small_defect_closed_forms(rows),
     ]
 
 

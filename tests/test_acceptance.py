@@ -132,7 +132,7 @@ def test_criterion_5_kirillov_oracle(capsys):
         pool.extend(seaweed_pairs(n))
     pool.extend(rng.sample(list(seaweed_pairs(4)), 50))
     for q in pool:
-        assert index_oracle(q, 5, seed=rng.randrange(2**30)) == index_c(q), q
+        assert index_oracle(q, seed=rng.randrange(2**30)) == index_c(q), q
     elapsed = time.time() - started
     assert elapsed < 60.0
     with capsys.disabled():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandre import index_a_gl, index_c, make_seaweed_a, make_seaweed_c, reduction_chain
-from meandre.composition import Composition, SeaweedA, SeaweedC, Series, parse_composition
+from meandre.composition import Composition, SeaweedA, SeaweedC, Series
 from meandre.enumeration import composition_from_mask, compositions_of, seaweed_pairs
 from meandre.cli import main
 from meandre.index import (
@@ -15,7 +15,7 @@ from meandre.index import (
     Rule,
     closed_form_step,
     component_counts,
-    parabolic_index_c,
+    terminal_index_c,
     walk,
 )
 from meandre.meander import analyze, build_graph_a, build_graph_c, graph_counts
@@ -69,16 +69,18 @@ def test_index_c_so_odd_matches_sp():
 
 
 def test_parabolic_index_examples():
-    assert parabolic_index_c(7, parse_composition("2,3")) == 4
-    assert parabolic_index_c(5, parse_composition("")) == 5
-    assert parabolic_index_c(3, parse_composition("1,1,1")) == 0
+    assert terminal_index_c(make_seaweed_c(7, "2,3", "")) == 4
+    assert terminal_index_c(make_seaweed_c(7, "", "2,3")) == 4
+    assert terminal_index_c(make_seaweed_c(5, "", "")) == 5
+    assert terminal_index_c(make_seaweed_c(3, "1,1,1", "")) == 0
 
 
 def test_parabolic_formula_matches_graph_to_rank_8():
     for n in range(0, 9):
         for m in range(0, n + 1):
             for a in compositions_of(m):
-                assert parabolic_index_c(n, a) == index_c(make_seaweed_c(n, a, ""))
+                q = make_seaweed_c(n, a, "")
+                assert terminal_index_c(q) == index_c(q)
 
 
 def test_index_a_gl_at_least_one_iff_single_segment():

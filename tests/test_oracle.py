@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from meandre import index_c, index_oracle, make_seaweed_c, oracle
 from meandre.composition import SeaweedC, symmetrize
 from meandre.enumeration import rank_sides, seaweed_pairs
-from meandre.oracle import build_seaweed_matrices, pfaffian_rank
+from meandre.oracle import build_seaweed_matrices
 
 
 def fraction_rank(rows):
@@ -44,9 +44,21 @@ def _mirrored(upper):
 
 
 def _as_dicts(upper):
-    """The strict upper triangle as pfaffian_rank takes it: row k maps l > k
-    to A[k][l], explicit zeros kept."""
+    """The strict upper triangle as dicts: row k maps l > k to A[k][l],
+    explicit zeros kept."""
     return [{k + 1 + t: x for t, x in enumerate(row)} for k, row in enumerate(upper)]
+
+
+def pfaffian_rank(upper):
+    """Rank by oracle._rank_of_rows of the alternating matrix whose strict
+    upper triangle is the dicts `upper`, mirrored here into the full rows of
+    nonzero residues mod PRIME that the routine takes."""
+    rows = [{} for _ in upper]
+    for k, row in enumerate(upper):
+        for l, value in row.items():
+            if value := value % oracle.PRIME:
+                rows[k][l], rows[l][k] = value, oracle.PRIME - value
+    return oracle._rank_of_rows(rows)
 
 
 @st.composite
@@ -98,22 +110,6 @@ def test_pfaffian_rank_mod_p_can_only_fall_short():
     assert pfaffian_rank([{1: oracle.PRIME + 1}, {}]) == 2
 
 
-@pytest.mark.parametrize(
-    "upper",
-    [
-        [{0: 1}],  # on the diagonal
-        [{1: 1}, {1: 2}],  # on the diagonal of row 1
-        [{1: 1}, {0: 1}],  # below the diagonal
-        [{-1: 1}, {}],  # below the diagonal, negative
-        [{2: 1}, {}],  # past the last column
-        [{1: 1, 3: 2}, {2: 1}, {}],  # past the last column, beside a good entry
-    ],
-)
-def test_pfaffian_rank_rejects_entries_off_the_strict_upper_triangle(upper):
-    with pytest.raises(ValueError, match="keys of upper"):
-        pfaffian_rank(upper)
-
-
 def _lift(residue):
     """The integer of least absolute value congruent to `residue` mod p."""
     value = residue - oracle.PRIME if residue > oracle.PRIME // 2 else residue
@@ -146,7 +142,7 @@ def test_pfaffian_rank_equals_exact_rank_on_sample_forms_to_rank_3(monkeypatch):
         for q in seaweed_pairs(n):
             for seed in range(5):
                 forms.clear()
-                index_oracle(q, 5, seed=seed)
+                index_oracle(q, seed=seed)
                 ranked = forms[:]  # pfaffian_rank below records its own forms
                 for rows, rank in ranked:
                     dense = [[_lift(row.get(l, 0)) for l in range(len(rows))] for row in rows]
@@ -158,16 +154,16 @@ def test_pfaffian_rank_equals_exact_rank_on_sample_forms_to_rank_3(monkeypatch):
     assert checked >= 85 * 5  # at least one form per descriptor and seed
 
 
-def _reference_oracle(q, samples, seed):
-    """index_oracle through the public pfaffian_rank: the same draws, each
-    form written as its strict upper triangle, the same stop at the
-    largest even rank.  Returns (index, number of forms ranked)."""
+def _reference_oracle(q, seed):
+    """index_oracle through pfaffian_rank above: the same draws, each form
+    written as its strict upper triangle, the same stop at the largest even
+    rank.  Returns (index, number of forms ranked)."""
     basis = build_seaweed_matrices(q)
     rng = random.Random(seed)
     dim = basis.dimension
     full = dim - dim % 2
     best = ranked = 0
-    for _ in range(samples):
+    for _ in range(oracle.SAMPLES):
         coords = [rng.randint(-oracle.COEFF_RANGE, oracle.COEFF_RANGE) for _ in range(dim)]
         upper = [{} for _ in range(dim)]
         for (u, v), terms in basis.structure.items():
@@ -190,9 +186,9 @@ def test_oracle_full_rows_rank_as_pfaffian_rank_to_rank_4(monkeypatch):
         for q in seaweed_pairs(n):
             for seed in range(3):
                 forms.clear()
-                got = index_oracle(q, 5, seed=seed)
+                got = index_oracle(q, seed=seed)
                 ranked = forms[:]  # pfaffian_rank below records its own forms
-                assert (got, len(ranked)) == _reference_oracle(q, 5, seed), (q, seed)
+                assert (got, len(ranked)) == _reference_oracle(q, seed), (q, seed)
                 for rows, rank in ranked:
                     for k, row in enumerate(rows):
                         for l, x in row.items():
@@ -282,40 +278,41 @@ def test_index_oracle_stops_at_the_largest_even_rank(monkeypatch):
     # dim 1: an alternating form has even rank, so rank 0 after one sample is final
     calls = []
     monkeypatch.setattr(oracle, "_rank_of_rows", _recording(calls))
-    assert index_oracle(make_seaweed_c(1, "1", "1"), 5) == 1
+    assert index_oracle(make_seaweed_c(1, "1", "1")) == 1
     assert len(calls) == 1
-
-
-def test_index_oracle_rejects_zero_samples():
-    with pytest.raises(ValueError, match="samples"):
-        index_oracle(make_seaweed_c(1, "1", "1"), 0)
 
 
 def test_index_oracle_is_seed_reproducible():
     q = make_seaweed_c(3, "1,2", "2")
-    assert index_oracle(q, 3, seed=7) == index_oracle(q, 3, seed=7)
+    assert index_oracle(q, seed=7) == index_oracle(q, seed=7)
 
 
-def test_one_sample_never_understates_the_index():
-    # a single form's rank mod p is at most the generic rank over Q
+def test_one_sample_never_understates_the_index(monkeypatch):
+    # each form's rank mod p is at most the generic rank over Q, dim - index
+    forms = []
+    monkeypatch.setattr(oracle, "_rank_of_rows", _recording(forms))
     for n in range(0, 4):
         for pair in seaweed_pairs(n):
             for series in ("C", "B"):
                 q = make_seaweed_c(n, pair.top, pair.bottom, series)
                 expected = index_c(q)
                 for seed in range(5):
-                    assert index_oracle(q, 1, seed=seed) >= expected, (q, seed)
+                    forms.clear()
+                    index_oracle(q, seed=seed)
+                    assert forms, (q, seed)
+                    for rows, rank in forms:
+                        assert rank <= len(rows) - expected, (q, seed)
 
 
 def test_oracle_matches_graph_exhaustively_to_rank_2():
     for n in range(0, 3):
         for q in seaweed_pairs(n):
-            assert index_oracle(q, 5) == index_c(q)
+            assert index_oracle(q) == index_c(q)
 
 
 def test_oracle_matches_graph_on_rank_3_slice():
     for q in list(seaweed_pairs(3))[::7]:
-        assert index_oracle(q, 5) == index_c(q)
+        assert index_oracle(q) == index_c(q)
 
 
 def _sparse_bracket(x, y):

@@ -47,7 +47,7 @@ def test_oracle_draws_as_sampling_the_listed_pairs(monkeypatch, max_n, seed):
     # pairs would, and leaves the generator in the same state for the forms
     calls = []
 
-    def recording_oracle(q, samples, *, seed):
+    def recording_oracle(q, *, seed):
         calls.append((q, seed))
         return index_c(q)
 
