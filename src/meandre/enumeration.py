@@ -22,10 +22,11 @@ One engine gives the census; it counts, and the listing is pruned by it:
   (`census --n 20`, 2-core x86).
 * `frobenius_seaweeds` lists the classes by descent, growing the sides a
   part at a time and dropping a prefix as soon as the count of its index-0
-  completions is 0: no graph, about 35 us per class.  `verify`'s 4^n scan
-  is the reference that both are checked against.
+  completions is 0: no graph, about 35 us per class.  The listing is
+  recomputed on each call; `verify` lists each rank once.  `verify`'s 4^n
+  scan is the reference that both are checked against.
 
-`clear_census_cache` drops the memo of both.
+`clear_census_cache` drops the one memo, the count's.
 """
 
 from __future__ import annotations
@@ -90,11 +91,6 @@ class CensusRow(NamedTuple):
     total: int
 
 
-@lru_cache(maxsize=None)
-def _frobenius_by_k(n: int) -> tuple[tuple[SeaweedC, ...], ...]:
-    return tuple(tuple(_descend(n, (), n, (), n - k)) for k in range(1, n + 1))
-
-
 def _descend(n: int, full: tuple, full_free: int, deficient: tuple, deficient_free: int):
     """Yield the (full | deficient) classes that complete the given prefixes,
     full side grown first and each next part tried largest first:
@@ -153,7 +149,6 @@ def _choose_first_part(rank: int, free: int, other: tuple[int, ...], other_free:
 
 
 def clear_census_cache() -> None:
-    _frobenius_by_k.cache_clear()
     _choose_first_part.cache_clear()
 
 
@@ -161,7 +156,7 @@ def frobenius_seaweeds(n: int, k: int) -> tuple[SeaweedC, ...]:
     """Canonical index-0 representatives at rank n with k central arcs."""
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    return _frobenius_by_k(n)[k - 1]
+    return tuple(_descend(n, (), n, (), n - k))
 
 
 def frobenius_census(n: int, *, ordered: bool = False) -> CensusRow:

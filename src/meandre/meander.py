@@ -13,9 +13,9 @@ under the reflection v -> 2n+1-v; the arcs crossing the centre line are the
 A graph is made only from compositions (`build_graph_a`, `build_graph_c`),
 so its arcs are in range, non-crossing and, for type C, mirror-symmetric by
 construction; nothing re-checks them.  Each side is stored as a partner
-array, filled in one pass over the parts (a doubled type-C side over its
-own parts and middle part, then mirrored): partner[v] is the other end of
-v's arc on that side, 0 if v has none.  `graph_counts` walks them to count
+array, filled in one pass over the parts (a type-C side's parts doubled by
+`composition.doubled`): partner[v] is the other end of v's arc on that
+side, 0 if v has none.  `graph_counts` walks them to count
 (the index routes), `analyze` (its reference) to list components.  The
 exhaustive scans count with `pair_counts`, which builds each side's array
 once and pairs it with every other side's.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .composition import Composition, SeaweedA, SeaweedC
+from .composition import Composition, SeaweedA, SeaweedC, doubled
 
 Arc = tuple[int, int]
 Partner = tuple[int, ...]
@@ -63,18 +63,6 @@ def _partner(parts: tuple[int, ...]) -> Partner:
         partner += range(offset + p, offset, -1)
         if p % 2:
             partner[offset + (p + 1) // 2] = 0
-    return tuple(partner)
-
-
-def _doubled_partner(side: Composition, defect: int) -> Partner:
-    """`_partner(doubled(side, defect))`, the side's parts built once and
-    mirrored.  The middle part 2*defect, its own mirror image, has the arcs
-    v -> 2n+1-v; past it, partner[2n+1-v] = 2n+1-partner[v], and 0 stays 0."""
-    total = side.total
-    mirror = 2 * (total + defect) + 1
-    partner = [*_partner(side.parts)]
-    partner += range(mirror - total - 1, total, -1)
-    partner += [mirror - u if u else 0 for u in partner[total:0:-1]]
     return tuple(partner)
 
 
@@ -134,9 +122,7 @@ class ComponentReport(NamedTuple):
 def _side_partner(side: Composition, rank: int | None) -> Partner:
     """One side's partner array: its own parts in a gl graph (rank None), its
     parts doubled with the defect rank - total in a type-C graph of `rank`."""
-    if rank is None:
-        return _partner(side.parts)
-    return _doubled_partner(side, rank - side.total)
+    return _partner(side.parts if rank is None else doubled(side, rank - side.total))
 
 
 def _graph(top: Partner, bottom: Partner, rank: int | None) -> MeanderGraph:
@@ -150,8 +136,7 @@ def build_graph_a(q: SeaweedA) -> MeanderGraph:
 
 
 def build_graph_c(q: SeaweedC) -> MeanderGraph:
-    """Meander graph of a type-C seaweed: the graph of its doubled descriptor,
-    each side's parts built once and mirrored (`_doubled_partner`)."""
+    """Meander graph of a type-C seaweed: the graph of its doubled descriptor."""
     n = q.rank
     return _graph(_side_partner(q.top, n), _side_partner(q.bottom, n), n)
 

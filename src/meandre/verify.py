@@ -9,7 +9,9 @@ Three families of checks, all exact:
 * the structural facts behind the Frobenius census: the one-full-side
   shape (whose full 4^n scans are the reference for the census count and
   its listing, class for class), component structure, the rank-raising
-  embeddings, tail stabilization and the gl(n) transfer counts.
+  embeddings, tail stabilization and the gl(n) transfer counts.  The
+  per-element checks read one listing of the classes, made once per run
+  as the row-level ones read one set of census rows.
 
 The exhaustive scans over all pairs of sides (index methods, the one
 full side, the gl transfer) and the expected values of the oracle's
@@ -115,9 +117,9 @@ def check_kirillov_oracle(max_n: int, seed: int) -> CheckResult:
     )
 
 
-def _check_one_full_side(census_max_n: int) -> CheckResult:
+def _check_one_full_side(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "frobenius-one-full-side"
-    for n in range(1, census_max_n + 1):
+    for n, classes in listing.items():
         by_k: dict[int, set[SeaweedC]] = {}
         ordered = [0] * n  # index-0 ordered pairs by k, for `census --ordered`
         sides = rank_sides(n)
@@ -132,7 +134,7 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
             by_k.setdefault(k, set()).add(canonical_pair(q))
             ordered[k - 1] += 1
         for k, count in enumerate(frobenius_census(n).by_k, 1):
-            scanned, listed = by_k.get(k, set()), frobenius_seaweeds(n, k)
+            scanned, listed = by_k.get(k, set()), classes[k - 1]
             if not (len(scanned) == len(listed) == count and scanned == set(listed)):
                 odd = min(map(str, scanned.symmetric_difference(listed)), default=None)
                 sizes = f"full scan {len(scanned)}, listing {len(listed)}, census {count}"
@@ -143,16 +145,16 @@ def _check_one_full_side(census_max_n: int) -> CheckResult:
     return CheckResult(
         name,
         True,
-        f"full 4^n scans to rank {census_max_n} match the census DP",
+        f"full 4^n scans to rank {len(listing)} match the census DP",
     )
 
 
-def _check_component_structure(census_max_n: int) -> CheckResult:
+def _check_component_structure(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "frobenius-component-structure"
     checked = 0
-    for n in range(1, census_max_n + 1):
-        for k in range(1, n + 1):
-            for q in frobenius_seaweeds(n, k):
+    for n, row in listing.items():
+        for k, classes in enumerate(row, 1):
+            for q in classes:
                 report = analyze(build_graph_c(q))
                 if report.counts != (0, k, 0, True) or report.total_arcs != 2 * n - k:
                     return _fail(
@@ -171,13 +173,14 @@ def _check_component_structure(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_embedding(census_max_n: int) -> CheckResult:
+def _check_embedding(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "rank-raising-embedding"
+    census_max_n = len(listing)
     for n in range(1, census_max_n):
         images: set[SeaweedC] = set()
-        for k in range(1, n + 1):
-            targets = set(frobenius_seaweeds(n + 1, k + 1))
-            for q in frobenius_seaweeds(n, k):
+        for k, classes in enumerate(listing[n], 1):
+            targets = set(listing[n + 1][k])
+            for q in classes:
                 up = embed_up(q)
                 if embed_up(q.swap()) != up.swap():
                     return _fail(name, "image depends on the side order", q)
@@ -190,6 +193,13 @@ def _check_embedding(census_max_n: int) -> CheckResult:
             return CheckResult(
                 name, False, f"not injective at n={n}: {len(images)} != {row.total}"
             )
+        # Onto: the images are the next rank's classes whose full side ends in 1.
+        next_classes = (q for classes in listing[n + 1] for q in classes)
+        ends_in_one = {q for q in next_classes if q.top.parts[-1] == 1}
+        if images != ends_in_one:
+            odd = min(map(str, images ^ ends_in_one))
+            detail = f"image mismatch at n={n}: not the full sides ending in 1"
+            return CheckResult(name, False, detail, odd)
         if not next_row.total > row.total:
             return CheckResult(
                 name, False, f"census not strictly increasing at n={n}"
@@ -201,11 +211,11 @@ def _check_embedding(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_single_arc_gl_index(census_max_n: int) -> CheckResult:
+def _check_single_arc_gl_index(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "single-central-arc-gl-index"
     checked = 0
-    for n in range(1, census_max_n + 1):
-        for q in frobenius_seaweeds(n, 1):
+    for row in listing.values():
+        for q in row[0]:
             if index_a_gl(symmetrize(q)) != 1:
                 return _fail(name, "doubled graph is not a single segment", q)
             checked += 1
@@ -214,13 +224,12 @@ def _check_single_arc_gl_index(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_single_arc_growth(census_max_n: int) -> CheckResult:
+def _check_single_arc_growth(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "single-central-arc-growth"
-    for n in range(1, census_max_n):
-        images = {canonical_pair(hat_map(q)) for q in frobenius_seaweeds(n, 1)}
-        ends_in_two = {
-            q for q in frobenius_seaweeds(n + 1, 1) if q.top.parts[-1] == 2
-        }
+    for n in range(1, len(listing)):
+        single, next_single = listing[n][0], listing[n + 1][0]
+        images = {canonical_pair(hat_map(q)) for q in single}
+        ends_in_two = {q for q in next_single if q.top.parts[-1] == 2}
         if images != ends_in_two:
             return CheckResult(
                 name,
@@ -228,11 +237,9 @@ def _check_single_arc_growth(census_max_n: int) -> CheckResult:
                 f"image mismatch at n={n}: {len(images)} images, "
                 f"{len(ends_in_two)} full sides ending in 2",
             )
-        if len(images) != len(frobenius_seaweeds(n, 1)):
+        if len(images) != len(single):
             return CheckResult(name, False, f"not injective at n={n}")
-        if n >= 2 and not len(frobenius_seaweeds(n + 1, 1)) > len(
-            frobenius_seaweeds(n, 1)
-        ):
+        if n >= 2 and not len(next_single) > len(single):
             return CheckResult(name, False, f"k=1 count not strictly growing at n={n}")
     return CheckResult(
         name,
@@ -241,9 +248,9 @@ def _check_single_arc_growth(census_max_n: int) -> CheckResult:
     )
 
 
-def _check_type_a_transfer(census_max_n: int) -> CheckResult:
+def _check_type_a_transfer(listing: dict[int, list[tuple[SeaweedC, ...]]]) -> CheckResult:
     name = "type-a-transfer-counts"
-    for n in range(1, census_max_n + 1):
+    for n, classes in listing.items():
         found = {1: 0, 2: 0}
         comps = list(compositions_of(n))
         tops = [top for top in comps if top.parts[-1] in (1, 2)]
@@ -259,7 +266,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
                     f"last top part {k}, census says {row.by_k[k - 1]}",
                 )
             # Sanity: the transfer really lands on those graphs.
-            for q in frobenius_seaweeds(n, k):
+            for q in classes[k - 1]:
                 image = to_type_a(q)
                 if image.top.parts[-1] != k or index_a_gl(image) != 1:
                     return _fail(name, "transfer image not a single segment", q)
@@ -267,7 +274,7 @@ def _check_type_a_transfer(census_max_n: int) -> CheckResult:
         name,
         True,
         f"ordered single-segment gl-graph counts match the census for k = 1, 2 "
-        f"up to rank {census_max_n}",
+        f"up to rank {len(listing)}",
     )
 
 
@@ -338,16 +345,21 @@ def _check_small_defect_closed_forms(rows: dict[int, CensusRow]) -> CheckResult:
 
 
 def check_structure(census_max_n: int) -> list[CheckResult]:
-    """The census-level checks; per-element ones range to census_max_n, the
-    row-level tail identities share the census rows 1..max(census_max_n, 9)."""
+    """The census-level checks; per-element ones share the listing of ranks
+    1..census_max_n (listing[n][k - 1], the classes with k central arcs),
+    the row-level tail identities the census rows 1..max(census_max_n, 9)."""
     rows = {n: frobenius_census(n) for n in range(1, max(census_max_n, 9) + 1)}
+    listing = {
+        n: [frobenius_seaweeds(n, k) for k in range(1, n + 1)]
+        for n in range(1, census_max_n + 1)
+    }
     return [
-        _check_one_full_side(census_max_n),
-        _check_component_structure(census_max_n),
-        _check_embedding(census_max_n),
-        _check_single_arc_gl_index(census_max_n),
-        _check_single_arc_growth(census_max_n),
-        _check_type_a_transfer(census_max_n),
+        _check_one_full_side(listing),
+        _check_component_structure(listing),
+        _check_embedding(listing),
+        _check_single_arc_gl_index(listing),
+        _check_single_arc_growth(listing),
+        _check_type_a_transfer(listing),
         _check_tail_stabilization(rows),
         _check_tail_recurrences(rows),
         _check_small_defect_closed_forms(rows),

@@ -9,6 +9,7 @@ from meandre import (
     make_seaweed_a,
     make_seaweed_c,
 )
+from meandre import enumeration as enumeration_module
 from meandre import index as index_module
 from meandre import meander as meander_module
 from meandre.composition import SeaweedC, canonical_pair
@@ -79,6 +80,15 @@ def test_census_builds_no_graph(monkeypatch):
 def test_listing_equals_brute_force_tuple_for_tuple():
     for n in range(1, 10):
         assert tuple(frobenius_seaweeds(n, k) for k in range(1, n + 1)) == brute_force_by_k(n)
+
+
+def test_the_listing_is_recomputed_and_the_count_memo_is_the_only_one():
+    first, again = frobenius_seaweeds(6, 2), frobenius_seaweeds(6, 2)
+    assert first == again and first is not again
+    clear_census_cache()
+    assert enumeration_module._choose_first_part.cache_info().currsize == 0
+    memos = [name for name, f in vars(enumeration_module).items() if hasattr(f, "cache_info")]
+    assert memos == ["_choose_first_part"]
 
 
 def test_listing_and_rank_maps_build_no_graph(monkeypatch):

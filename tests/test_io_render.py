@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meandre import (
@@ -205,15 +205,21 @@ VALID_DOCUMENTS = [
     st.sampled_from(["type", "n", "top", "bottom", "vertices", "index"]),
     JSON_VALUES,
 )
+@example(VALID_DOCUMENTS[0], "type", "B")
 @settings(max_examples=300, deadline=None)
 def test_from_json_only_raises_value_error(doc, field, value):
-    """One field replaced by any JSON value loads as the original or is a ValueError."""
+    """One field replaced by any JSON value loads as the original or is a
+    ValueError; a type-C document retyped "B" (or back) is the other series'
+    document of the same descriptor, whose graph and index are the same."""
     data = json.loads(to_json(doc))
     data[field] = value
     try:
         loaded = from_json(json.dumps(data))
     except ValueError:
         return
+    q = doc.descriptor
+    if field == "type" and value in ("B", "C") and not isinstance(q, SeaweedA):
+        doc = document(make_seaweed_c(q.rank, q.top, q.bottom, value))
     assert loaded == doc
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import meandre.verify
 from meandre import index_c, meander
-from meandre.composition import Composition, SeaweedC
+from meandre.composition import Composition, SeaweedC, make_seaweed_c
 from meandre.enumeration import frobenius_seaweeds, seaweed_pairs
 from meandre.verify import (
     _check_embedding,
@@ -26,6 +26,12 @@ STRUCTURE_CHECK_NAMES = {
     "tail-recurrences",
     "small-defect-closed-forms",
 }
+
+
+def listing(census_max_n):
+    """The listing `check_structure` hands its per-element checks."""
+    ranks = range(1, census_max_n + 1)
+    return {n: [frobenius_seaweeds(n, k) for k in range(1, n + 1)] for n in ranks}
 
 
 def test_index_methods_check_passes():
@@ -93,10 +99,10 @@ def test_run_all_shape():
 
 def _without_central_arcs(real):
     """A doubled side whose middle part is all 1s: no central arcs."""
-    def half(side, defect):
-        return meander._partner(side.parts + (1,) * (2 * defect) + side.parts[::-1])
+    def parts(side, defect):
+        return side.parts + (1,) * (2 * defect) + side.parts[::-1]
 
-    return half
+    return parts
 
 
 def _one_cycle_more(real):
@@ -109,25 +115,23 @@ def _one_cycle_more(real):
 
 @pytest.mark.parametrize(
     "target, fault",
-    [("_doubled_partner", _without_central_arcs), ("graph_counts", _one_cycle_more)],
+    [("doubled", _without_central_arcs), ("graph_counts", _one_cycle_more)],
 )
 def test_the_scans_count_on_the_graph(monkeypatch, target, fault):
-    # the exhaustive scans take their index from the graph: a wrong graph
-    # half or a wrong count fails both and names a rank-1 descriptor
+    # the exhaustive scans take their index from the graph: a wrong doubled
+    # side or a wrong count fails both and names a rank-1 descriptor
+    classes = listing(3)
     monkeypatch.setattr(meander, target, fault(getattr(meander, target)))
-    for result in (check_index_methods(3), _check_one_full_side(3)):
+    for result in (check_index_methods(3), _check_one_full_side(classes)):
         assert not result.passed, result
         assert result.counterexample is not None and "n=1" in result.counterexample, result
 
 
-def test_a_class_missing_from_the_listing_is_named(monkeypatch):
-    dropped = frobenius_seaweeds(3, 2)[1]
-
-    def listing(n, k):
-        return tuple(q for q in frobenius_seaweeds(n, k) if q != dropped)
-
-    monkeypatch.setattr(meandre.verify, "frobenius_seaweeds", listing)
-    result = _check_one_full_side(4)
+def test_a_class_missing_from_the_listing_is_named():
+    classes = listing(4)
+    dropped = classes[3][1][1]
+    classes[3][1] = tuple(q for q in classes[3][1] if q != dropped)
+    result = _check_one_full_side(classes)
     assert not result.passed
     assert result.detail == "at n=3, k=2: full scan 2, listing 1, census 2"
     assert result.counterexample == str(dropped)
@@ -143,7 +147,7 @@ def test_a_wrong_ordered_census_row_is_caught(monkeypatch):
         return row
 
     monkeypatch.setattr(meandre.verify, "frobenius_census", census)
-    result = _check_one_full_side(4)
+    result = _check_one_full_side(listing(4))
     assert not result.passed
     assert result.detail == "at n=3: ordered scan [4, 4, 2], census --ordered [3, 4, 2]"
 
@@ -158,7 +162,30 @@ def test_an_embedding_that_breaks_on_a_full_bottom_side_is_caught(monkeypatch):
         return SeaweedC(q.rank + 1, q.top, Composition((1, *q.bottom.parts)), q.series)
 
     monkeypatch.setattr(meandre.verify, "embed_up", embed)
-    result = _check_embedding(3)
+    result = _check_embedding(listing(3))
     assert not result.passed
     assert result.detail == "image depends on the side order"
     assert result.counterexample is not None
+
+
+def test_an_embedding_that_misses_a_full_side_ending_in_1_is_caught(monkeypatch):
+    # an injective embed_up, independent of the side order and landing on a
+    # rank-3 class with one more central arc, but not onto the classes whose
+    # full side ends in 1: only the onto comparison fails
+    real = meandre.verify.embed_up
+    moved = make_seaweed_c(2, "2", "1")  # to (2,1 | 1) by the real map
+    ends_in_3 = make_seaweed_c(3, "3", "1")
+    assert frobenius_seaweeds(2, 1) == (moved,) and ends_in_3 in frobenius_seaweeds(3, 2)
+
+    def embed(q):
+        if q == moved:
+            return ends_in_3
+        if q == moved.swap():
+            return ends_in_3.swap()
+        return real(q)
+
+    monkeypatch.setattr(meandre.verify, "embed_up", embed)
+    result = _check_embedding(listing(3))
+    assert not result.passed
+    assert result.detail == "image mismatch at n=2: not the full sides ending in 1"
+    assert result.counterexample == "n=3 (2,1 | 1)"
